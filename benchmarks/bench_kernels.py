@@ -1,94 +1,40 @@
 #!/usr/bin/env python3
 """Benchmark the compiled staircase kernels against the pure-Python lane.
 
-Workloads mirror the hot paths of the package: minimal generators of ideal
-powers, colength-table cells through the implicit cut family, and the
-aggregated diagonal counter.  Outputs one line per workload with both
-timings and the speedup.
+The cases live in ``perfbench/kernel_cases.py``: minimal generators of an
+ideal power, a colength-table cell through the cut family, minimalization
+of random vectors, and the aggregated diagonal counter.  Prints the
+speed-up of each case and exits 1 when the two lanes return different
+results on any of them.
 """
 
-import random
-import time
+import os
+import sys
 
-from lctk import _staircase_py as pure
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "perfbench"))
+
+import kernel_cases  # noqa: E402
+
+import lctk  # noqa: E402
 
 try:
-    from lctk import _staircase as compiled
+    from lctk import _staircase  # noqa: E402,F401
 except ImportError:
-    compiled = None
-
-
-def bench(label, func_pure, func_compiled, repeat=3):
-    def run(fn):
-        best = None
-        for _ in range(repeat):
-            start = time.perf_counter()
-            result = fn()
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None or elapsed < best else best
-        return best, result
-
-    t_pure, r_pure = run(func_pure)
-    if compiled is None:
-        print(f"{label:<42} pure {t_pure * 1e3:9.2f} ms   (no extension)")
-        return
-    t_comp, r_comp = run(func_compiled)
-    assert r_pure == r_comp, f"lane mismatch in {label}"
-    print(f"{label:<42} pure {t_pure * 1e3:9.2f} ms   "
-          f"compiled {t_comp * 1e3:8.2f} ms   x{t_pure / t_comp:6.1f}")
-
-
-def power_workload(lane, gens, t):
-    def inner():
-        return lane.power_minimal(gens, t, 3, 512) \
-            if hasattr(lane, "power_minimal") else _power(lane, gens, t)
-    return inner
-
-
-def _power(lane, gens, t):
-    result = None
-    square = lane.minimalize(gens, 3)
-    while True:
-        if t & 1:
-            result = square if result is None else lane.product_minimal(
-                result, square, 3, 512)
-        t >>= 1
-        if t == 0:
-            return result
-        square = lane.product_minimal(square, square, 3, 512)
+    _staircase = None
 
 
 def main():
-    rng = random.Random(1)
-    gens3 = [(6, 0, 0), (0, 5, 0), (0, 0, 6), (2, 1, 3), (1, 4, 1),
-             (3, 2, 0), (0, 2, 4)]
-
-    bench("power J^20, n=3, 7 generators",
-          power_workload(pure, gens3, 20),
-          power_workload(compiled, gens3, 20) if compiled else None)
-
-    power20 = _power(pure, gens3, 20)
-    terms = [(g, sum(g) + 20) for g in power20]
-    bench(f"table cell m^20 J^20, n=3 ({len(terms)} terms)",
-          lambda: pure.count_cut_complement(terms, 3),
-          (lambda: compiled.count_cut_complement(terms, 3))
-          if compiled else None)
-
-    vecs = [tuple(rng.randint(0, 40) for _ in range(3)) for _ in range(4000)]
-    bench("minimalize 4000 random vectors, n=3",
-          lambda: pure.minimalize(vecs, 3),
-          (lambda: compiled.minimalize(vecs, 3)) if compiled else None)
-
-    bench("diagonal cell a=(1,1,1,5), r=t=26",
-          lambda: pure.diagonal_cell((1, 1, 1, 5), 26, 26),
-          (lambda: compiled.diagonal_cell((1, 1, 1, 5), 26, 26))
-          if compiled else None)
-
-    bench("diagonal cell a=(5,5,5,5), r=t=26",
-          lambda: pure.diagonal_cell((5, 5, 5, 5), 26, 26),
-          (lambda: compiled.diagonal_cell((5, 5, 5, 5), 26, 26))
-          if compiled else None)
+    if _staircase is None:
+        print("(no extension) lctk._staircase is not importable; nothing to compare")
+        return 0
+    metrics, mismatches = kernel_cases.speedups(lctk)
+    for name, ratio in metrics.items():
+        print(f"{name:<40} x{ratio:6.1f}")
+    for name in mismatches:
+        print(f"{name}: LANE MISMATCH", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

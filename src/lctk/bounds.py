@@ -11,6 +11,7 @@ Fraction and only ever arises from e_1 = 0.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvariantError
 from .multiplicities import MultiplicitySequence
 
 INFINITY = float("inf")
@@ -152,7 +153,8 @@ def _compare_mixed_vs_geometric(e1, e_n, n, max_bits=4096):
     if e_n == e1 ** n:
         lhs = Fraction(1, e1) + (n - 1) * Fraction(1, e1)
         rhs = Fraction(n, e1)
-        assert lhs == rhs
+        if lhs != rhs:
+            raise InvariantError(f"equality case gave {lhs} != {rhs}")
         return EQ, (lhs, rhs)
     base = Fraction(1, e1)
     bits = 16

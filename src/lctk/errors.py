@@ -26,6 +26,13 @@ class DegenerateMinorantError(LctkError):
     comparison weight exists."""
 
 
+class InvariantError(LctkError):
+    """An internal invariant failed: a bug in the package, not bad input.
+
+    Unlike an ``assert`` it also holds under ``python -O``.
+    """
+
+
 class UnstableFitError(LctkError):
     """Colength table differences did not stabilize within the base cap."""
 

@@ -1,13 +1,20 @@
 """Kernel selection: compiled staircase extension with pure-Python fallback.
 
-The Cython extension ``lctk._staircase`` is used when it importable, the
-dimension is at most 4, and every intermediate count provably fits in C
-int64.  ``LCTK_PURE_PYTHON=1`` forces the fallback lane.  Both lanes are
+The Cython extension ``lctk._staircase`` is used when it is importable and
+every intermediate value provably fits in C int64; each entry point checks
+its own inputs.  For ``count_cut_complement`` the dimension must be at most
+4, and the guard is one exact check per call, linear in the number of
+terms: the largest coordinate, and the product of the per-axis covers read
+off the pure-axis terms, bound every count the compiled kernel can form.
+``LCTK_PURE_PYTHON=1`` forces the fallback lane.  Both lanes are
 behaviourally identical; see tests/test_kernels.py for the parity suite and
-benchmarks/bench_kernels.py for the speed comparison.
+benchmarks/bench_kernels.py for the speed-ups.
 """
 
 import os
+from itertools import chain
+from math import prod
+from operator import itemgetter
 
 from . import _staircase_py as _py
 
@@ -26,27 +33,38 @@ _MAX_COUNT = 1 << 62
 
 
 def _cover_bound(terms, n):
-    """Upper bound on the complement count: product of per-axis covers."""
-    bound = 1
-    for axis in range(n):
-        cover = None
-        for mu, m in terms:
-            if all(c == 0 for i, c in enumerate(mu) if i != axis):
-                v = max(mu[axis], m)
-                if cover is None or v < cover:
-                    cover = v
-        if cover is None:
-            return None
-        bound *= max(cover, 1)
-    return bound
+    """Upper bound on the complement count: product of per-axis covers.
+
+    The cover of an axis is the least max(mu[axis], m) over the terms whose
+    mu is zero off that axis; a zero mu lies on every axis.  Returns None
+    when some axis has no such term.  Each mu has length n.
+    """
+    covers = [None] * n
+    for mu, m in terms:
+        zeros = mu.count(0)
+        if zeros == n:
+            axes = range(n)
+        elif zeros == n - 1:
+            # the one nonzero coordinate equals the sum
+            axes = (mu.index(sum(mu)),)
+        else:
+            continue
+        for axis in axes:
+            v = max(mu[axis], m)
+            if covers[axis] is None or v < covers[axis]:
+                covers[axis] = v
+    if None in covers:
+        return None
+    return prod(max(cover, 1) for cover in covers)
 
 
 def _compiled_ok_terms(terms, n):
-    if _compiled is None or not 1 <= n <= 4:
+    if _compiled is None or not 1 <= n <= 4 or not terms:
         return False
-    for mu, m in terms:
-        if m > _MAX_COORD or any(c > _MAX_COORD for c in mu):
-            return False
+    if (max(map(itemgetter(1), terms)) > _MAX_COORD
+            or max(chain.from_iterable(map(itemgetter(0), terms)))
+            > _MAX_COORD):
+        return False
     bound = _cover_bound(terms, n)
     return bound is not None and bound < _MAX_COUNT
 

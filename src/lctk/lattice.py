@@ -180,7 +180,7 @@ def newton_membership(ideal, point):
     Decided as LP feasibility: does a convex combination of the generators
     lie componentwise below the point?
     """
-    from .simplex import feasible  # deferred: simplex imports Fraction only
+    from .simplex import feasible  # deferred: simplex needs only errors
 
     q = tuple(Fraction(x) for x in point)
     if len(q) != ideal.n:

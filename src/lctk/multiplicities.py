@@ -13,7 +13,12 @@ from itertools import combinations
 from math import comb, gcd
 
 from . import kernels
-from .errors import NonIsolatedError, UnitIdealError, UnstableFitError
+from .errors import (
+    InvariantError,
+    NonIsolatedError,
+    UnitIdealError,
+    UnstableFitError,
+)
 from .lattice import (
     MAX_TOTAL_DEGREE,
     colength,
@@ -116,9 +121,9 @@ def _check_strictly_increasing(table):
     for i, row in enumerate(v):
         for j in range(len(row) - 1):
             if row[j] >= row[j + 1]:
-                raise AssertionError("table not increasing in t")
+                raise InvariantError("table not increasing in t")
         if i + 1 < len(v) and any(a >= b for a, b in zip(row, v[i + 1])):
-            raise AssertionError("table not increasing in r")
+            raise InvariantError("table not increasing in r")
 
 
 def _mixed_difference(table, r0, t0, dr, dt):

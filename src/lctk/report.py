@@ -25,8 +25,8 @@ from .thresholds import (
     diagonal_lct,
     howald_lct,
     kiselman_lct,
+    minorant_from_certificate,
     refined_lelong,
-    worst_diagonal_minorant,
 )
 
 
@@ -81,7 +81,7 @@ def build_ideal_report(ideal):
         checks["covolume_matches_top"] = (
             covolume_times_factorial(ideal) == e[n])
     if all(v > 0 for v in cert.x0):
-        psi = worst_diagonal_minorant(ideal)
+        psi = minorant_from_certificate(cert)
         cumulative = []
         acc = Fraction(1)
         for w in psi.a:

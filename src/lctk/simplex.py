@@ -8,6 +8,8 @@ exactness is the only concern.
 
 from fractions import Fraction
 
+from .errors import InvariantError
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -98,7 +100,8 @@ def solve_min(rows, rhs, cost):
     phase1 = [_ZERO] * n + [_ONE] * m
     allowed = [True] * width
     status = _bland(tableau, basis, phase1, allowed)
-    assert status == OPTIMAL  # phase 1 is bounded below by zero
+    if status != OPTIMAL:  # phase 1 is bounded below by zero
+        raise InvariantError(f"phase 1 of the simplex ended {status}")
     infeas = sum((tableau[i][-1] for i in range(m) if basis[i] >= n),
                  _ZERO)
     if infeas != 0:

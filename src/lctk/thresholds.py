@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateMinorantError, UnitIdealError
+from .errors import DegenerateMinorantError, InvariantError, UnitIdealError
 from .simplex import OPTIMAL, solve_min
 
 _ZERO = Fraction(0)
@@ -79,6 +79,14 @@ def refined_lelong(ideal, x):
                for g in ideal.generators)
 
 
+def _solve_optimal(rows, rhs, cost, what):
+    """solve_min for an LP that is feasible and bounded by construction."""
+    res = solve_min(rows, rhs, cost)
+    if res.status != OPTIMAL:
+        raise InvariantError(f"{what} ended {res.status}")
+    return res
+
+
 def _lex_min_optimal_point(gens, n, s_star):
     """Lexicographically smallest x on the optimal face of the Kiselman LP.
 
@@ -106,8 +114,7 @@ def _lex_min_optimal_point(gens, n, s_star):
             rhs.append(v)
         cost = [_ZERO] * (n + k)
         cost[axis] = _ONE
-        res = solve_min(rows, rhs, cost)
-        assert res.status == OPTIMAL
+        res = _solve_optimal(rows, rhs, cost, "lex-min Kiselman point")
         fixed.append(res.x[axis])
     return tuple(fixed)
 
@@ -138,8 +145,7 @@ def kiselman_lct(ideal):
     rows.append([_ONE] * n + [_ZERO] * (k + 1))
     rhs.append(_ONE)
     cost = [_ZERO] * n + [-_ONE] + [_ZERO] * k
-    res = solve_min(rows, rhs, cost)
-    assert res.status == OPTIMAL
+    res = _solve_optimal(rows, rhs, cost, "Kiselman LP")
     s_star = res.x[n]
     if s_star == 0:
         # unreachable for non-unit ideals: every generator has positive
@@ -173,8 +179,7 @@ def howald_lct(ideal):
     rows.append([_ONE] * k + [_ZERO] * (n + 1))
     rhs.append(_ONE)
     cost = [_ZERO] * k + [_ONE] + [_ZERO] * n
-    res = solve_min(rows, rhs, cost)
-    assert res.status == OPTIMAL
+    res = _solve_optimal(rows, rhs, cost, "Howald LP")
     y_star = res.objective
     return _ONE / y_star
 
@@ -195,7 +200,11 @@ def worst_diagonal_minorant(ideal):
     has the same threshold, because sum(x0_j) / nu = 1 / nu.  Fails when the
     maximizing point touches the simplex boundary.
     """
-    cert = kiselman_lct(ideal)
+    return minorant_from_certificate(kiselman_lct(ideal))
+
+
+def minorant_from_certificate(cert):
+    """worst_diagonal_minorant read off an existing Kiselman certificate."""
     if any(v == 0 for v in cert.x0):
         raise DegenerateMinorantError(
             f"maximizing point {cert.x0} has a zero coordinate")

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from lctk import cli
 
 CUSP = {"n": 2, "generators": [[2, 0], [0, 3]]}
@@ -97,6 +99,22 @@ class TestReport:
         code, _, _ = run(capsys,
                          ["report", write(tmp_path, "i.json", CUSP)])
         assert code == 4
+
+
+class TestInvariantFailure:
+    def test_non_optimal_lp_is_exit_4(self, tmp_path, capsys, monkeypatch):
+        from lctk import InvariantError, normalize_generators, thresholds
+        from lctk.simplex import INFEASIBLE, LPResult
+
+        monkeypatch.setattr(thresholds, "solve_min",
+                            lambda rows, rhs, cost: LPResult(INFEASIBLE))
+        with pytest.raises(InvariantError):
+            thresholds.kiselman_lct(normalize_generators([(2, 0), (0, 3)], 2))
+        code, out, err = run(capsys,
+                             ["lct", write(tmp_path, "i.json", CUSP)])
+        assert code == 4
+        assert out == ""
+        assert "Kiselman LP ended infeasible" in err
 
 
 class TestMults:

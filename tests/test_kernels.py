@@ -2,8 +2,11 @@
 
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lctk import kernels
 
@@ -129,3 +132,101 @@ class TestDispatch:
 
     def test_backend_reported(self):
         assert kernels.BACKEND in ("compiled", "python")
+
+
+def seed_cover_bound(terms, n):
+    """Per-axis scan of every term: the guard's formula, computed directly."""
+    bound = 1
+    for axis in range(n):
+        cover = None
+        for mu, m in terms:
+            if all(c == 0 for i, c in enumerate(mu) if i != axis):
+                v = max(mu[axis], m)
+                if cover is None or v < cover:
+                    cover = v
+        if cover is None:
+            return None
+        bound *= max(cover, 1)
+    return bound
+
+
+def axis_term(n, axis, k, m):
+    return tuple(k if i == axis else 0 for i in range(n)), m
+
+
+@st.composite
+def cut_families(draw):
+    n = draw(st.integers(1, 5))
+    coord = st.sampled_from([0, 0, 1, 2, 7, kernels._MAX_COORD,
+                             kernels._MAX_COORD + 1])
+    term = st.one_of(
+        st.tuples(st.integers(0, n - 1), coord, coord).map(
+            lambda t: axis_term(n, *t)),
+        st.tuples(st.tuples(*[coord] * n), coord))
+    return draw(st.lists(term, max_size=10)), n
+
+
+class TestGuard:
+    """The int64 guard of the compiled lane, checked without counting."""
+
+    @pytest.fixture
+    def compiled_present(self, monkeypatch):
+        # the guard only reads whether an extension is loaded
+        monkeypatch.setattr(kernels, "_compiled", object())
+
+    @settings(max_examples=300, deadline=None)
+    @given(cut_families())
+    def test_bound_matches_per_axis_scan(self, family):
+        terms, n = family
+        bound = seed_cover_bound(terms, n)
+        assert kernels._cover_bound(terms, n) == bound
+        small = all(c <= kernels._MAX_COORD
+                    for mu, m in terms for c in mu + (m,))
+        with mock.patch.object(kernels, "_compiled", object()):
+            assert kernels._compiled_ok_terms(terms, n) == (
+                n <= 4 and small and bound is not None
+                and bound < kernels._MAX_COUNT)
+
+    def test_cover_bound_below_and_at_max_count(self, compiled_present):
+        big = kernels._MAX_COORD
+        below = [axis_term(4, 0, big, 0), axis_term(4, 1, big, 0),
+                 axis_term(4, 2, big - 1, 0), axis_term(4, 3, 4, 0)]
+        assert kernels._cover_bound(below, 4) == kernels._MAX_COUNT - (1 << 42)
+        assert kernels._compiled_ok_terms(below, 4)
+        at = below[:2] + [axis_term(4, 2, big, 0)] + below[3:]
+        assert kernels._cover_bound(at, 4) == kernels._MAX_COUNT
+        assert not kernels._compiled_ok_terms(at, 4)
+
+    @pytest.mark.parametrize("where", ["mu", "m"])
+    def test_coordinate_limit(self, compiled_present, where):
+        def family(c):
+            diagonal = ((c, 1), 0) if where == "mu" else ((1, 1), c)
+            return [axis_term(2, 0, 3, 3), axis_term(2, 1, 3, 3), diagonal]
+
+        assert kernels._compiled_ok_terms(family(kernels._MAX_COORD), 2)
+        assert not kernels._compiled_ok_terms(
+            family(kernels._MAX_COORD + 1), 2)
+
+    def test_axis_without_pure_term(self, compiled_present):
+        terms = [axis_term(3, 0, 2, 2), axis_term(3, 2, 2, 2),
+                 ((1, 1, 0), 2), ((0, 1, 1), 2)]
+        assert kernels._cover_bound(terms, 3) is None
+        assert not kernels._compiled_ok_terms(terms, 3)
+
+    def test_zero_vector_covers_every_axis(self, compiled_present):
+        assert kernels._cover_bound([((0, 0, 0), 5)], 3) == 125
+        terms = [((0, 0, 0), 5), axis_term(3, 1, 2, 3)]
+        assert kernels._cover_bound(terms, 3) == 5 * 3 * 5
+        assert kernels._compiled_ok_terms(terms, 3)
+        assert kernels._cover_bound([((0, 0), 0)], 2) == 1
+
+    def test_empty_terms(self, compiled_present):
+        assert kernels._cover_bound([], 2) is None
+        assert not kernels._compiled_ok_terms([], 2)
+
+    def test_dimension_five_takes_python_lane(self, compiled_present):
+        terms = [axis_term(5, axis, 2, 2) for axis in range(5)]
+        assert kernels._cover_bound(terms, 5) == 2 ** 5
+        assert not kernels._compiled_ok_terms(terms, 5)
+        assert kernels._compiled_ok_terms(
+            [axis_term(4, axis, 2, 2) for axis in range(4)], 4)

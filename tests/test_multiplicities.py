@@ -88,6 +88,14 @@ class TestHilbertTable:
                 assert kernels.table_cell(power, r, 2) == \
                     kernels.diagonal_cell((2, 4), r, t)
 
+    def test_non_increasing_table_is_invariant_error(self, monkeypatch):
+        from lctk import InvariantError, kernels
+
+        monkeypatch.setattr(kernels, "table_cell", lambda gens, r, n: 7)
+        J = normalize_generators([(2, 0), (1, 1), (0, 3)], 2)
+        with pytest.raises(InvariantError, match="not increasing in t"):
+            hilbert_table(J, 1, 4)
+
 
 class TestMixedMultiplicities:
     def test_cusp_matches_diagonal_closed_form(self):

@@ -17,8 +17,13 @@ from lctk import (
     unit_ideal,
     worst_diagonal_minorant,
 )
-from lctk.report import random_isolated_ideal
-from lctk.thresholds import ProbeConfig, UnitIdealWarning
+from lctk import report, simplex, thresholds
+from lctk.report import build_ideal_report, random_isolated_ideal
+from lctk.thresholds import (
+    ProbeConfig,
+    UnitIdealWarning,
+    minorant_from_certificate,
+)
 
 CUSP = normalize_generators([(2, 0), (0, 3)], 2)
 
@@ -164,6 +169,38 @@ class TestWorstDiagonalMinorant:
     def test_degenerate_boundary_point(self):
         with pytest.raises(DegenerateMinorantError):
             worst_diagonal_minorant(normalize_generators([(2, 0)], 2))
+        with pytest.raises(DegenerateMinorantError):
+            minorant_from_certificate(
+                kiselman_lct(normalize_generators([(2, 0)], 2)))
+
+
+class TestOneKiselmanSolvePerReport:
+    def test_report_reuses_its_certificate(self, monkeypatch):
+        J = normalize_generators(
+            [(2, 0, 0), (0, 3, 0), (0, 0, 4), (1, 1, 1)], 3)
+        calls = []
+        real_solve = simplex.solve_min
+
+        def counting_solve(rows, rhs, cost):
+            calls.append(len(cost))
+            return real_solve(rows, rhs, cost)
+
+        minorants = []
+
+        def recording_minorant(cert):
+            minorants.append(minorant_from_certificate(cert))
+            return minorants[-1]
+
+        monkeypatch.setattr(simplex, "solve_min", counting_solve)
+        monkeypatch.setattr(thresholds, "solve_min", counting_solve)
+        monkeypatch.setattr(report, "minorant_from_certificate",
+                            recording_minorant)
+        rep = build_ideal_report(J)
+        assert all(v > 0 for v in rep.certificate.x0)
+        assert rep.checks["minorant_chain"]
+        # Kiselman 1 + n lex-min steps, then Howald 1
+        assert len(calls) == J.n + 2
+        assert minorants == [worst_diagonal_minorant(J)]
 
 
 class TestSkodaSandwich:
