@@ -111,8 +111,13 @@ def product_minimal(gens_a, gens_b, n, degree_cap):
     return minimalize(sums, n)
 
 
-def power_minimal(gens, t, n, degree_cap):
-    """Minimal generators of J^t by square-and-multiply."""
+def power_minimal(gens, t, n, degree_cap, *, minimalize=minimalize,
+                  product_minimal=product_minimal):
+    """Minimal generators of J^t by square-and-multiply.
+
+    The minimalize and product steps default to this lane's; the kernel
+    dispatcher passes its own, so each step picks its lane.
+    """
     if t == 0:
         return [(0,) * n]
     result = None

@@ -199,15 +199,9 @@ def chain_check(seq):
         # both reference bounds collapse to 1/e_1
         wit = (mb, Fraction(1, e[1]))
         return ChainReport(_cmp(mb, Fraction(1, e[1])), EQ, (wit,))
-    # main bound vs mixed bound, in the power domain
-    u = mb - Fraction(1, e[1])
-    k = n - 1
-    lhs = u.numerator ** k * e[n]
-    rhs = k ** k * e[1] * u.denominator ** k
-    main_vs_mixed = _cmp(lhs, rhs)
+    main_vs_mixed, wit1 = compare_mixed_bound(mb, e[1], e[n], n)
     mixed_vs_geometric, wit2 = _compare_mixed_vs_geometric(e[1], e[n], n)
-    return ChainReport(main_vs_mixed, mixed_vs_geometric,
-                       ((lhs, rhs), wit2))
+    return ChainReport(main_vs_mixed, mixed_vs_geometric, (wit1, wit2))
 
 
 def derivative_certificates(t):

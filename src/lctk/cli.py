@@ -145,8 +145,7 @@ def cmd_bounds(args):
 
 def cmd_verify_random(args):
     config = RunConfig(seed=args.seed, dim=args.dim,
-                       max_degree=args.max_degree, count=args.count,
-                       workers=args.workers)
+                       max_degree=args.max_degree, count=args.count)
     summary = run_random_sweep(config, keep_items=args.csv is not None)
     payload = {
         "config": {
@@ -255,8 +254,6 @@ def build_parser():
                                 f"kernels)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for random sweeps")
-    parser.add_argument("--json", action="store_true",
-                        help="JSON to stdout (default; kept for scripts)")
     parser.add_argument("--csv", metavar="PATH", default=None,
                         help="write per-item CSV rows (sweeps)")
     parser.add_argument("--max-steps", type=int, default=100_000,
@@ -290,7 +287,6 @@ def build_parser():
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--max-degree", type=int, default=5)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_verify_random)
 
     p = sub.add_parser("groebner-bound",

@@ -17,6 +17,7 @@ from math import prod
 from operator import itemgetter
 
 from . import _staircase_py as _py
+from ._staircase_py import power_minimal as _square_and_multiply
 
 _compiled = None
 if os.environ.get("LCTK_PURE_PYTHON") != "1":
@@ -86,23 +87,12 @@ def product_minimal(gens_a, gens_b, n, degree_cap):
 
 
 def power_minimal(gens, t, n, degree_cap):
-    gens = [tuple(v) for v in gens]
-    if t == 0:
-        return [(0,) * n]
-    result = None
-    square = minimalize(gens, n)
-    while True:
-        if t & 1:
-            result = square if result is None else product_minimal(
-                result, square, n, degree_cap)
-        t >>= 1
-        if t == 0:
-            return result
-        square = product_minimal(square, square, n, degree_cap)
+    return _square_and_multiply(gens, t, n, degree_cap,
+                                minimalize=minimalize,
+                                product_minimal=product_minimal)
 
 
 def count_cut_complement(terms, n):
-    terms = [(tuple(mu), m) for mu, m in terms]
     if _compiled_ok_terms(terms, n):
         return _compiled.count_cut_complement(terms, n)
     return _py.count_cut_complement(terms, n)

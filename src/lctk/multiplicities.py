@@ -79,7 +79,7 @@ def diagonal_mults(a):
     return MultiplicitySequence(tuple(e))
 
 
-def hilbert_table(ideal, base, window, *, degree_cap=MAX_TOTAL_DEGREE):
+def hilbert_table(ideal, base, window):
     """Exact colength table of m^r * J^t on [base, base+window]^2.
 
     Diagonal ideals use a per-axis aggregated count; everything else counts
@@ -101,11 +101,12 @@ def hilbert_table(ideal, base, window, *, degree_cap=MAX_TOTAL_DEGREE):
                                 for t in range(base, base + window + 1)))
     else:
         powers = {}
-        gens_t = kernels.power_minimal(ideal.generators, base, n, degree_cap)
+        gens_t = kernels.power_minimal(
+            ideal.generators, base, n, MAX_TOTAL_DEGREE)
         powers[base] = gens_t
         for t in range(base + 1, base + window + 1):
             gens_t = kernels.product_minimal(
-                gens_t, ideal.generators, n, degree_cap)
+                gens_t, ideal.generators, n, MAX_TOTAL_DEGREE)
             powers[t] = gens_t
         for r in range(base, base + window + 1):
             values.append(tuple(kernels.table_cell(powers[t], r, n)
@@ -145,8 +146,7 @@ class FitResult:
     base: int
 
 
-def fit_multiplicities(ideal, *, base_cap=BASE_CAP,
-                       degree_cap=MAX_TOTAL_DEGREE):
+def fit_multiplicities(ideal):
     """Multiplicity sequence from stabilized mixed differences of the table.
 
     The difference of order (n-j, j) equals e_j once L is polynomial.
@@ -160,11 +160,9 @@ def fit_multiplicities(ideal, *, base_cap=BASE_CAP,
         raise NonIsolatedError(f"no isolated zero: {ideal}")
     n = ideal.n
     maxdeg = max(sum(g) for g in ideal.generators)
-    base = min(max(1, n * maxdeg), base_cap)
-    last_table = None
+    base = min(max(1, n * maxdeg), BASE_CAP)
     while True:
-        table = hilbert_table(ideal, base, n + 2, degree_cap=degree_cap)
-        last_table = table
+        table = hilbert_table(ideal, base, n + 2)
         seq = []
         stable = True
         for j in range(n + 1):
@@ -176,18 +174,16 @@ def fit_multiplicities(ideal, *, base_cap=BASE_CAP,
             seq.append(vals[0])
         if stable and seq[0] == 1 and all(v > 0 for v in seq):
             return FitResult(MultiplicitySequence(tuple(seq)), table, base)
-        if base >= base_cap:
+        if base >= BASE_CAP:
             raise UnstableFitError(
-                f"no stable fit up to base {base_cap} for {ideal}",
-                table=last_table)
-        base = min(base * 2, base_cap)
+                f"no stable fit up to base {BASE_CAP} for {ideal}",
+                table=table)
+        base = min(base * 2, BASE_CAP)
 
 
-def mixed_multiplicities(ideal, *, base_cap=BASE_CAP,
-                         degree_cap=MAX_TOTAL_DEGREE):
+def mixed_multiplicities(ideal):
     """The multiplicity sequence (see fit_multiplicities for the policy)."""
-    return fit_multiplicities(ideal, base_cap=base_cap,
-                              degree_cap=degree_cap).mults
+    return fit_multiplicities(ideal).mults
 
 
 def _primitive(v):
@@ -197,27 +193,28 @@ def _primitive(v):
     return tuple(c // g for c in v) if g else v
 
 
+def _cross(o, a, b):
+    return ((a[0] - o[0]) * (b[1] - o[1])
+            - (a[1] - o[1]) * (b[0] - o[0]))
+
+
+def _lower_chain(pts):
+    """One monotone chain: the lower hull of points in ascending order, the
+    upper hull of points in descending order."""
+    chain = []
+    for p in pts:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def _hull_2d(points):
     """Counterclockwise convex hull (monotone chain) of integer points."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-
-    def cross(o, a, b):
-        return ((a[0] - o[0]) * (b[1] - o[1])
-                - (a[1] - o[1]) * (b[0] - o[0]))
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    return _lower_chain(pts)[:-1] + _lower_chain(reversed(pts))[:-1]
 
 
 def _covolume_1d(gens):
@@ -226,18 +223,7 @@ def _covolume_1d(gens):
 
 def _covolume_2d_doubled(gens):
     """Twice the area between the axes and the staircase hull (integer)."""
-    pts = sorted(gens)
-
-    def cross(o, a, b):
-        return ((a[0] - o[0]) * (b[1] - o[1])
-                - (a[1] - o[1]) * (b[0] - o[0]))
-
-    hull = []
-    for p in pts:
-        while len(hull) >= 2 and cross(hull[-2], hull[-1], p) <= 0:
-            hull.pop()
-        hull.append(p)
-    poly = [(0, 0)] + hull
+    poly = [(0, 0)] + _lower_chain(sorted(gens))
     s = 0
     for i in range(len(poly)):
         x1, y1 = poly[i]
@@ -361,11 +347,9 @@ def first_multiplicity(ideal):
     return min(sum(g) for g in ideal.generators)
 
 
-def colength_of_product(ideal, t, r, *, degree_cap=MAX_TOTAL_DEGREE):
+def colength_of_product(ideal, t, r):
     """Brute-route colength of m^r * J^t through the explicit product;
     used by tests as the independent oracle for table cells."""
     from .lattice import scale_and_multiply
 
-    product = scale_and_multiply(ideal, t, r, allow_unit=True,
-                                 degree_cap=degree_cap)
-    return colength(product)
+    return colength(scale_and_multiply(ideal, t, r, allow_unit=True))

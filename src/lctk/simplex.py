@@ -39,11 +39,10 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _bland(tableau, basis, cost, allowed):
+def _bland(tableau, basis, cost):
     """Run simplex iterations on the tableau for the given cost vector.
 
-    Returns OPTIMAL or UNBOUNDED.  `allowed[j]` masks columns that may
-    enter the basis.
+    Returns OPTIMAL or UNBOUNDED.
     """
     m = len(tableau)
     width = len(cost)
@@ -59,7 +58,7 @@ def _bland(tableau, basis, cost, allowed):
                         zrow[j] -= cb * row[j]
         enter = -1
         for j in range(width):
-            if allowed[j] and zrow[j] < 0:
+            if zrow[j] < 0:
                 enter = j
                 break
         if enter < 0:
@@ -94,12 +93,10 @@ def solve_min(rows, rhs, cost):
         art = [_ONE if k == i else _ZERO for k in range(m)]
         tableau.append(row + art + [b])
     basis = [n + i for i in range(m)]
-    width = n + m
 
     # phase 1: minimize the sum of artificials
     phase1 = [_ZERO] * n + [_ONE] * m
-    allowed = [True] * width
-    status = _bland(tableau, basis, phase1, allowed)
+    status = _bland(tableau, basis, phase1)
     if status != OPTIMAL:  # phase 1 is bounded below by zero
         raise InvariantError(f"phase 1 of the simplex ended {status}")
     infeas = sum((tableau[i][-1] for i in range(m) if basis[i] >= n),
@@ -116,8 +113,7 @@ def solve_min(rows, rhs, cost):
     tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
 
-    allowed = [True] * n
-    status = _bland(tableau, basis, cost, allowed)
+    status = _bland(tableau, basis, cost)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
     x = [_ZERO] * n

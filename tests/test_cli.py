@@ -1,5 +1,6 @@
 import csv
 import json
+from itertools import count
 
 import pytest
 
@@ -136,6 +137,18 @@ class TestMults:
         assert first[0] == str(base) and first[1] == str(base)
         assert len(rows) == 1 + (2 + 2 + 1) ** 2  # (window+1)^2 cells
 
+    def test_unstable_fit_exit_5(self, tmp_path, capsys, monkeypatch):
+        from lctk import multiplicities
+
+        calls = count()
+        monkeypatch.setattr(multiplicities, "_mixed_difference",
+                            lambda *args: next(calls))
+        code, out, err = run(capsys, ["mults",
+                                      write(tmp_path, "i.json", CUSP)])
+        assert code == 5
+        assert out == ""
+        assert "no stable fit up to base 64" in err
+
 
 class TestBounds:
     def test_sequence_input(self, tmp_path, capsys):
@@ -178,14 +191,6 @@ class TestVerifyRandom:
         _, out2, _ = run(capsys, ["--seed", "2", "verify-random",
                                   "--count", "6"])
         assert out1 != out2
-
-    def test_workers_preserve_order(self, capsys):
-        argv_serial = ["--seed", "3", "verify-random", "--dim", "2",
-                       "--count", "8"]
-        argv_pool = argv_serial + ["--workers", "4"]
-        _, out1, _ = run(capsys, argv_serial)
-        _, out2, _ = run(capsys, argv_pool)
-        assert out1 == out2
 
     def test_csv_rows(self, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"

@@ -1,7 +1,9 @@
 """Parity and oracle tests for both kernel lanes."""
 
+import hashlib
 import random
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -230,3 +232,24 @@ class TestGuard:
         assert not kernels._compiled_ok_terms(terms, 5)
         assert kernels._compiled_ok_terms(
             [axis_term(4, axis, 2, 2) for axis in range(4)], 4)
+
+
+#: sha256 of the Cython source and of the C file generated from it.  The
+#: compiled lane is built from the shipped C, so a change to either file
+#: must regenerate the C with Cython and update both pins together.
+STAIRCASE_PINS = {
+    "_staircase.pyx":
+        "a995599b42ae45b0991434c6655b433d8c74d28d50f5030d1ac322c6331846b6",
+    "_staircase.c":
+        "79922c450c44f2f9b829f84f4c916f9834d1d5633e9d2cf481089fb4127b02be",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAIRCASE_PINS))
+def test_generated_kernel_source_pinned(name):
+    path = Path(kernels.__file__).with_name(name)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == STAIRCASE_PINS[name], (
+        f"{name} changed (sha256 {digest}); _staircase.c must be "
+        f"regenerated from _staircase.pyx with Cython, and both pins in "
+        f"STAIRCASE_PINS updated together")

@@ -1,4 +1,5 @@
 import random
+from itertools import count
 from math import comb
 
 import pytest
@@ -7,6 +8,7 @@ from lctk import (
     BACKEND,
     NonIsolatedError,
     UnitIdealError,
+    UnstableFitError,
     covolume_times_factorial,
     diagonal_ideal,
     diagonal_mults,
@@ -19,6 +21,7 @@ from lctk import (
     validate_sequence,
 )
 from lctk.multiplicities import (
+    BASE_CAP,
     MultiplicitySequence,
     colength_of_product,
     first_multiplicity,
@@ -160,6 +163,18 @@ class TestMixedMultiplicities:
         assert fit.mults.e == (1, 2, 6)
         assert fit.table.base == fit.base
         assert fit.base == 2 * 3  # n * max generator degree
+
+    def test_unstable_fit_keeps_last_table(self, monkeypatch):
+        from lctk import multiplicities
+
+        calls = count()
+        monkeypatch.setattr(multiplicities, "_mixed_difference",
+                            lambda *args: next(calls))
+        with pytest.raises(UnstableFitError) as info:
+            fit_multiplicities(CUSP)
+        table = info.value.table
+        assert table.base == BASE_CAP
+        assert table == hilbert_table(CUSP, BASE_CAP, CUSP.n + 2)
 
     @pytest.mark.skipif(BACKEND != "compiled",
                         reason="generic 4D counting is slow on the pure "
