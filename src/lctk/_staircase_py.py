@@ -2,7 +2,8 @@
 
 This is the fallback lane for the compiled extension ``lctk._staircase``;
 both expose the same functions with identical semantics and this module is
-the reference for the parity tests.
+the reference for the parity tests.  Only ``power_minimal`` (square and
+multiply) lives here alone; the dispatcher drives it with its own steps.
 
 Counting works on *cut families*: a pair ``(mu, m)`` denotes the upward
 closed set ``{beta : beta >= mu componentwise and |beta|_1 >= m}``, and all
@@ -217,16 +218,6 @@ def count_cut_complement(terms, n):
             sliced = _minimalize_terms(sliced, n - 1)
         total += count_cut_complement(sliced, n - 1)
     return total
-
-
-def colength_from_gens(gens, n):
-    """Lattice points outside the monomial ideal with the given generators."""
-    return count_cut_complement([(g, sum(g)) for g in gens], n)
-
-
-def table_cell(power_gens_list, r, n):
-    """Colength of m^r * J^t given the minimal generators of J^t."""
-    return count_cut_complement([(g, sum(g) + r) for g in power_gens_list], n)
 
 
 def diagonal_cell(a, r, t):

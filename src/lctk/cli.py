@@ -128,13 +128,13 @@ def cmd_bounds(args):
 
         ideal = ideal_from_dict(data)
         rep = build_ideal_report(ideal)
-        seq, c = rep.mults, rep.certificate.c
+        seq, c, brep = rep.mults, rep.certificate.c, rep.bounds
     elif "e" in data:
         seq = MultiplicitySequence(tuple(int(v) for v in data["e"]))
         c = parse_frac(data["c"]) if "c" in data else None
+        brep = build_bounds_report(seq, c)
     else:
         raise SchemaError('expected an ideal or {"e": [...]} sequence')
-    brep = build_bounds_report(seq, c)
     payload = {"e": list(seq.e), "bounds": bounds_report_to_dict(brep)}
     if c is not None:
         payload["c"] = frac_str(c)

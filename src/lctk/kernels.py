@@ -71,7 +71,6 @@ def _compiled_ok_terms(terms, n):
 
 
 def minimalize(vecs, n):
-    vecs = [tuple(v) for v in vecs]
     if _compiled is not None and 1 <= n <= 8 and all(
             c <= _MAX_COORD for v in vecs for c in v):
         return _compiled.minimalize(vecs, n)
@@ -79,8 +78,6 @@ def minimalize(vecs, n):
 
 
 def product_minimal(gens_a, gens_b, n, degree_cap):
-    gens_a = [tuple(v) for v in gens_a]
-    gens_b = [tuple(v) for v in gens_b]
     if _compiled is not None and 1 <= n <= 8 and degree_cap <= _MAX_COORD:
         return _compiled.product_minimal(gens_a, gens_b, n, degree_cap)
     return _py.product_minimal(gens_a, gens_b, n, degree_cap)

@@ -2,8 +2,10 @@
 
 Solves min c.x subject to A x = b, x >= 0 over Fraction arithmetic using a
 dense two-phase tableau.  Bland's smallest-index pivoting rule guarantees
-termination.  Problem sizes in this package are tiny (tens of rows), so
-exactness is the only concern.
+termination.  Optional tiebreak costs are minimized in turn over the
+optimal face left by the costs before them, on the same tableau, so a
+lexicographic optimum costs one phase 1.  Problem sizes in this package are
+tiny (tens of rows), so exactness is the only concern.
 """
 
 from fractions import Fraction
@@ -42,7 +44,8 @@ def _pivot(tableau, basis, row, col):
 def _bland(tableau, basis, cost):
     """Run simplex iterations on the tableau for the given cost vector.
 
-    Returns OPTIMAL or UNBOUNDED.
+    Returns the reduced costs at the optimum, or None when the cost is
+    unbounded below.
     """
     m = len(tableau)
     width = len(cost)
@@ -62,7 +65,7 @@ def _bland(tableau, basis, cost):
                 enter = j
                 break
         if enter < 0:
-            return OPTIMAL
+            return zrow
         leave = -1
         best = None
         for i in range(m):
@@ -74,12 +77,19 @@ def _bland(tableau, basis, cost):
                     best = ratio
                     leave = i
         if leave < 0:
-            return UNBOUNDED
+            return None
         _pivot(tableau, basis, leave, enter)
 
 
-def solve_min(rows, rhs, cost):
-    """min cost.x s.t. rows.x = rhs, x >= 0; all entries Fraction-like."""
+def solve_min(rows, rhs, cost, *tiebreaks):
+    """min cost.x s.t. rows.x = rhs, x >= 0; all entries Fraction-like.
+
+    Each tiebreak cost is then minimized over the optimal face of the costs
+    before it.  At a stage's optimum every column with positive reduced cost
+    is zero on that face (complementary slackness), so deleting those
+    columns leaves exactly the face; basic columns have reduced cost 0 and
+    stay.  `x` comes back at full length and `objective` is cost.x.
+    """
     m = len(rows)
     n = len(cost)
     cost = [Fraction(c) for c in cost]
@@ -96,9 +106,8 @@ def solve_min(rows, rhs, cost):
 
     # phase 1: minimize the sum of artificials
     phase1 = [_ZERO] * n + [_ONE] * m
-    status = _bland(tableau, basis, phase1)
-    if status != OPTIMAL:  # phase 1 is bounded below by zero
-        raise InvariantError(f"phase 1 of the simplex ended {status}")
+    if _bland(tableau, basis, phase1) is None:  # bounded below by zero
+        raise InvariantError("phase 1 of the simplex ended unbounded")
     infeas = sum((tableau[i][-1] for i in range(m) if basis[i] >= n),
                  _ZERO)
     if infeas != 0:
@@ -113,12 +122,22 @@ def solve_min(rows, rhs, cost):
     tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
 
-    status = _bland(tableau, basis, cost)
-    if status == UNBOUNDED:
+    cols = range(n)  # original index of each tableau column
+    zrow = _bland(tableau, basis, cost)
+    for tiebreak in tiebreaks:
+        if zrow is None:
+            break
+        keep = [j for j, d in enumerate(zrow) if d == 0]
+        at = {j: k for k, j in enumerate(keep)}
+        tableau = [[row[j] for j in keep] + [row[-1]] for row in tableau]
+        basis = [at[b] for b in basis]
+        cols = [cols[j] for j in keep]
+        zrow = _bland(tableau, basis, [Fraction(tiebreak[j]) for j in cols])
+    if zrow is None:
         return LPResult(UNBOUNDED)
     x = [_ZERO] * n
     for i, b in enumerate(basis):
-        x[b] = tableau[i][-1]
+        x[cols[b]] = tableau[i][-1]
     obj = sum((c * v for c, v in zip(cost, x)), _ZERO)
     return LPResult(OPTIMAL, x, obj)
 

@@ -79,44 +79,12 @@ def refined_lelong(ideal, x):
                for g in ideal.generators)
 
 
-def _solve_optimal(rows, rhs, cost, what):
+def _solve_optimal(what, rows, rhs, *costs):
     """solve_min for an LP that is feasible and bounded by construction."""
-    res = solve_min(rows, rhs, cost)
+    res = solve_min(rows, rhs, *costs)
     if res.status != OPTIMAL:
         raise InvariantError(f"{what} ended {res.status}")
     return res
-
-
-def _lex_min_optimal_point(gens, n, s_star):
-    """Lexicographically smallest x on the optimal face of the Kiselman LP.
-
-    Minimizes x_1, then x_2 with x_1 pinned, and so on; the result is a
-    vertex of the optimal face and is unique, which makes every certificate
-    deterministic.
-    """
-    k = len(gens)
-    fixed = []
-    for axis in range(n):
-        # variables: x_1..x_n, u_1..u_k with <alpha, x> - u = s*
-        rows = []
-        rhs = []
-        for idx, g in enumerate(gens):
-            slack = [_ZERO] * k
-            slack[idx] = -_ONE
-            rows.append([Fraction(g[j]) for j in range(n)] + slack)
-            rhs.append(s_star)
-        rows.append([_ONE] * n + [_ZERO] * k)
-        rhs.append(_ONE)
-        for j, v in enumerate(fixed):
-            row = [_ZERO] * (n + k)
-            row[j] = _ONE
-            rows.append(row)
-            rhs.append(v)
-        cost = [_ZERO] * (n + k)
-        cost[axis] = _ONE
-        res = _solve_optimal(rows, rhs, cost, "lex-min Kiselman point")
-        fixed.append(res.x[axis])
-    return tuple(fixed)
 
 
 def kiselman_lct(ideal):
@@ -124,8 +92,10 @@ def kiselman_lct(ideal):
     Lelong number.
 
     Solves max s subject to <alpha, x> >= s for every generator, x in the
-    standard simplex, as an exact LP; then c = 1/s.  Ties among optimal
-    vertices break to the lexicographically smallest point.
+    standard simplex, as an exact LP; then c = 1/s.  The same solve then
+    minimizes x_1, ..., x_n in turn as tiebreaks, so x0 is the
+    lexicographically smallest point of the optimal face, which is unique
+    and makes every certificate deterministic.
     """
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal has no threshold")
@@ -145,14 +115,15 @@ def kiselman_lct(ideal):
     rows.append([_ONE] * n + [_ZERO] * (k + 1))
     rhs.append(_ONE)
     cost = [_ZERO] * n + [-_ONE] + [_ZERO] * k
-    res = _solve_optimal(rows, rhs, cost, "Kiselman LP")
+    unit = [[_ONE if j == axis else _ZERO for j in range(n + k + 1)]
+            for axis in range(n)]
+    res = _solve_optimal("Kiselman LP", rows, rhs, cost, *unit)
     s_star = res.x[n]
     if s_star == 0:
         # unreachable for non-unit ideals: every generator has positive
         # pairing with the barycenter
         raise UnitIdealError("degenerate zero slope")
-    x0 = _lex_min_optimal_point(gens, n, s_star)
-    return LctCertificate(c=_ONE / s_star, x0=x0, nu=s_star,
+    return LctCertificate(c=_ONE / s_star, x0=tuple(res.x[:n]), nu=s_star,
                           isolated=is_isolated_zero(ideal))
 
 
@@ -179,7 +150,7 @@ def howald_lct(ideal):
     rows.append([_ONE] * k + [_ZERO] * (n + 1))
     rhs.append(_ONE)
     cost = [_ZERO] * k + [_ONE] + [_ZERO] * n
-    res = _solve_optimal(rows, rhs, cost, "Howald LP")
+    res = _solve_optimal("Howald LP", rows, rhs, cost)
     y_star = res.objective
     return _ONE / y_star
 

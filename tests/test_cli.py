@@ -108,7 +108,7 @@ class TestInvariantFailure:
         from lctk.simplex import INFEASIBLE, LPResult
 
         monkeypatch.setattr(thresholds, "solve_min",
-                            lambda rows, rhs, cost: LPResult(INFEASIBLE))
+                            lambda rows, rhs, *costs: LPResult(INFEASIBLE))
         with pytest.raises(InvariantError):
             thresholds.kiselman_lct(normalize_generators([(2, 0), (0, 3)], 2))
         code, out, err = run(capsys,

@@ -59,6 +59,44 @@ class TestSolveMin:
         assert isinstance(res.objective, F)
 
 
+class TestTiebreaks:
+    # min -(x + y) st x + y + s = 1: the optimal face is the edge between
+    # (1, 0, 0), where Bland's rule stops, and (0, 1, 0)
+    EDGE = ([[1, 1, 1]], [1], [-1, -1, 0])
+
+    def test_edge_gives_lex_min_vertex(self):
+        rows, rhs, cost = self.EDGE
+        assert solve_min(rows, rhs, cost).x == [F(1), F(0), F(0)]
+        res = solve_min(rows, rhs, cost, [1, 0, 0], [0, 1, 0])
+        assert res.status == OPTIMAL
+        assert res.x == [F(0), F(1), F(0)]
+
+    def test_objective_is_first_cost(self):
+        rows, rhs, cost = self.EDGE
+        plain = solve_min(rows, rhs, cost)
+        res = solve_min(rows, rhs, cost, [1, 0, 0])
+        assert res.objective == plain.objective == -1
+
+    def test_tiebreak_never_leaves_the_face(self):
+        # the tiebreak would prefer s = 1, which is not optimal
+        rows, rhs, cost = self.EDGE
+        res = solve_min(rows, rhs, cost, [0, 0, -1], [1, 0, 0])
+        assert res.x == [F(0), F(1), F(0)]
+
+    def test_tiebreak_unbounded_on_face(self):
+        # min x st x + y - z = 1: the face x = 0, y = 1 + z is a ray
+        res = solve_min([[1, 1, -1]], [1], [1, 0, 0], [0, -1, 0])
+        assert res.status == UNBOUNDED
+
+    def test_unbounded_first_cost_stays_unbounded(self):
+        res = solve_min([[1, -1]], [0], [-1, 0], [1, 0])
+        assert res.status == UNBOUNDED
+
+    def test_infeasible_with_tiebreaks(self):
+        res = solve_min([[1, 1], [1, 1]], [1, 2], [0, 0], [1, 0])
+        assert res.status == INFEASIBLE
+
+
 class TestFeasible:
     def test_feasible_point(self):
         assert feasible([[1, 1]], [1])

@@ -102,6 +102,67 @@ class TestKiselman:
             assert b.x0 == a.x0
 
 
+def _kiselman_lp(J):
+    """max s st <alpha, x> - s - u_alpha = 0, sum(x) = 1 as a min LP."""
+    n, k = J.n, len(J.generators)
+    rows, rhs = [], []
+    for idx, g in enumerate(J.generators):
+        slack = [0] * k
+        slack[idx] = -1
+        rows.append(list(g) + [-1] + slack)
+        rhs.append(0)
+    rows.append([1] * n + [0] * (k + 1))
+    rhs.append(1)
+    return rows, rhs, [0] * n + [-1] + [0] * k
+
+
+def _lex_min_by_pinning(J, s_star):
+    """Reference: minimize x_1, ..., x_n one LP each, pinning the earlier
+    coordinates and the optimal slope s* with extra rows."""
+    n, k = J.n, len(J.generators)
+    fixed = []
+    for axis in range(n):
+        rows, rhs = [], []
+        for idx, g in enumerate(J.generators):
+            slack = [0] * k
+            slack[idx] = -1
+            rows.append(list(g) + slack)
+            rhs.append(s_star)
+        rows.append([1] * n + [0] * k)
+        rhs.append(1)
+        for j, v in enumerate(fixed):
+            row = [0] * (n + k)
+            row[j] = 1
+            rows.append(row)
+            rhs.append(v)
+        cost = [0] * (n + k)
+        cost[axis] = 1
+        res = simplex.solve_min(rows, rhs, cost)
+        assert res.status == simplex.OPTIMAL
+        fixed.append(res.x[axis])
+    return tuple(fixed)
+
+
+class TestLexMinTiebreak:
+    def test_matches_pinned_reference(self):
+        rng = random.Random(15)
+        decided_by_tiebreak = 0
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            gens = [tuple(rng.randint(0, 2) for _ in range(n))
+                    for _ in range(rng.randint(1, 4))]
+            J = normalize_generators(gens, n)
+            if J.is_unit:
+                continue
+            first = simplex.solve_min(*_kiselman_lp(J))
+            expected = _lex_min_by_pinning(J, first.x[n])
+            assert kiselman_lct(J).x0 == expected
+            decided_by_tiebreak += tuple(first.x[:n]) != expected
+        # the optimal face is often not one vertex, and Bland's rule alone
+        # would stop at another one of its vertices
+        assert decided_by_tiebreak >= 20
+
+
 class TestHowald:
     def test_cusp(self):
         assert howald_lct(CUSP) == F(5, 6)
@@ -181,9 +242,9 @@ class TestOneKiselmanSolvePerReport:
         calls = []
         real_solve = simplex.solve_min
 
-        def counting_solve(rows, rhs, cost):
-            calls.append(len(cost))
-            return real_solve(rows, rhs, cost)
+        def counting_solve(rows, rhs, *costs):
+            calls.append(len(costs))
+            return real_solve(rows, rhs, *costs)
 
         minorants = []
 
@@ -198,8 +259,8 @@ class TestOneKiselmanSolvePerReport:
         rep = build_ideal_report(J)
         assert all(v > 0 for v in rep.certificate.x0)
         assert rep.checks["minorant_chain"]
-        # Kiselman 1 + n lex-min steps, then Howald 1
-        assert len(calls) == J.n + 2
+        # Kiselman with its n lex-min tiebreaks, then Howald
+        assert calls == [1 + J.n, 1]
         assert minorants == [worst_diagonal_minorant(J)]
 
 
