@@ -25,7 +25,7 @@ from .errors import (
 )
 from .groebner import certified_lct_lower_bound, default_order, order_sweep
 from .lattice import is_isolated_zero
-from .multiplicities import MultiplicitySequence, fit_multiplicities
+from .multiplicities import fit_multiplicities
 from .report import RunConfig, build_ideal_report, run_random_sweep
 from .serialize import (
     SchemaError,
@@ -33,12 +33,14 @@ from .serialize import (
     certificate_to_dict,
     frac_approx,
     frac_str,
+    ideal_from_dict,
     ideal_to_dict,
     load_ideal,
     load_polynomial_ideal,
     lower_bound_certificate_to_dict,
     mults_to_dict,
     parse_frac,
+    sequence_from_dict,
 )
 from .thresholds import ProbeConfig, howald_lct, kiselman_lct
 from .thresholds import numeric_integrability_probe
@@ -102,8 +104,6 @@ def cmd_report(args):
 
 def cmd_mults(args):
     ideal = load_ideal(args.input)
-    if not is_isolated_zero(ideal):
-        raise NonIsolatedError(f"no isolated zero: {ideal}")
     fit = fit_multiplicities(ideal)
     payload = mults_to_dict(fit.mults)
     payload["base"] = fit.base
@@ -124,14 +124,13 @@ def cmd_bounds(args):
     with open(args.input) as fh:
         data = json.load(fh)
     if "generators" in data:
-        from .serialize import ideal_from_dict
-
         ideal = ideal_from_dict(data)
+        if not is_isolated_zero(ideal):
+            raise NonIsolatedError(f"no isolated zero: {ideal}")
         rep = build_ideal_report(ideal)
         seq, c, brep = rep.mults, rep.certificate.c, rep.bounds
     elif "e" in data:
-        seq = MultiplicitySequence(tuple(int(v) for v in data["e"]))
-        c = parse_frac(data["c"]) if "c" in data else None
+        seq, c = sequence_from_dict(data)
         brep = build_bounds_report(seq, c)
     else:
         raise SchemaError('expected an ideal or {"e": [...]} sequence')
@@ -220,6 +219,8 @@ def cmd_groebner_bound(args):
 def cmd_probe(args):
     ideal = load_ideal(args.input)
     c = parse_frac(args.c)
+    if c <= 0:
+        raise SchemaError(f"c must be positive, got {frac_str(c)}")
     config = ProbeConfig(grid=args.probe_grid, theta=args.probe_tolerance)
     result = numeric_integrability_probe(ideal, c, config)
     cert = kiselman_lct(ideal)

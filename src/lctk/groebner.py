@@ -14,6 +14,7 @@ from .errors import (
     PolynomialParseError,
     ResourceCapError,
     UnitIdealError,
+    UnstableFitError,
 )
 from .lattice import is_isolated_zero, normalize_generators
 
@@ -410,23 +411,23 @@ def order_sweep(polys, orders, *, max_reductions=MAX_REDUCTIONS):
     """Best certificate across several monomial orders.
 
     Returns the certificate with maximal c_initial (ties to the first order
-    in the list); succeeds if any order succeeds.
+    in the list); succeeds if any order succeeds.  Only resource errors
+    (ResourceCapError, UnstableFitError) of one order are tolerated; any
+    other error propagates, and the first resource error is raised when
+    every order fails.
     """
     if not orders:
         raise ValueError("need at least one order")
-    best = None
-    errors = []
+    best = first_error = None
     for order in orders:
         try:
             cert = certified_lct_lower_bound(
                 polys, order, max_reductions=max_reductions)
-        except UnitIdealError:
-            raise
-        except Exception as exc:  # per-order resource errors are tolerated
-            errors.append((order, exc))
+        except (ResourceCapError, UnstableFitError) as exc:
+            first_error = first_error or exc
             continue
         if best is None or cert.c_initial > best.c_initial:
             best = cert
     if best is None:
-        raise errors[0][1] if errors else ValueError("no order succeeded")
+        raise first_error
     return best

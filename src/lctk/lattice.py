@@ -151,8 +151,7 @@ def _degree_compositions(total, n):
         yield tuple(out)
 
 
-def scale_and_multiply(ideal, t, r, *, allow_unit=False,
-                       degree_cap=MAX_TOTAL_DEGREE):
+def scale_and_multiply(ideal, t, r, *, allow_unit=False):
     """The ideal m^r * J^t, as an explicit minimal generator set.
 
     t = r = 0 gives the unit ideal, which is only returned when explicitly
@@ -166,11 +165,11 @@ def scale_and_multiply(ideal, t, r, *, allow_unit=False,
                              "pass allow_unit=True to accept it")
         return unit_ideal(ideal.n)
     n = ideal.n
-    power = kernels.power_minimal(ideal.generators, t, n, degree_cap)
+    power = kernels.power_minimal(ideal.generators, t, n, MAX_TOTAL_DEGREE)
     if r == 0:
         return MonomialIdeal(n, tuple(power))
     shifts = list(_degree_compositions(r, n))
-    gens = kernels.product_minimal(power, shifts, n, degree_cap)
+    gens = kernels.product_minimal(power, shifts, n, MAX_TOTAL_DEGREE)
     return MonomialIdeal(n, tuple(gens))
 
 

@@ -5,11 +5,13 @@ L(r, t) = colength(m^r * J^t): past a finite base the table agrees with a
 polynomial of total degree n, and the mixed finite difference of order
 (n-j, j) is then constantly e_j.  Generic slices of monomial ideals are not
 monomial, so this bivariate characterization replaces slicing; the diagonal
-closed form and the covolume oracle cross-check it.
+closed form and the covolume oracle cross-check it.  The oracle computes
+e_n = n! covol(P(J)) exactly for every n: double description finds the
+compact facets of the Newton polyhedron, and a pulling triangulation of
+each one sums integer determinants.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, gcd
 
 from . import kernels
@@ -186,113 +188,92 @@ def mixed_multiplicities(ideal):
     return fit_multiplicities(ideal).mults
 
 
-def _primitive(v):
-    g = 0
-    for c in v:
-        g = gcd(g, abs(c))
-    return tuple(c // g for c in v) if g else v
+def _compact_facets(gens, n):
+    """Generator masks (bit k: generator k) of the compact facets of P(J).
 
-
-def _cross(o, a, b):
-    return ((a[0] - o[0]) * (b[1] - o[1])
-            - (a[1] - o[1]) * (b[0] - o[0]))
-
-
-def _lower_chain(pts):
-    """One monotone chain: the lower hull of points in ascending order, the
-    upper hull of points in descending order."""
-    chain = []
-    for p in pts:
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
-            chain.pop()
-        chain.append(p)
-    return chain
-
-
-def _hull_2d(points):
-    """Counterclockwise convex hull (monotone chain) of integer points."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    return _lower_chain(pts)[:-1] + _lower_chain(reversed(pts))[:-1]
-
-
-def _covolume_1d(gens):
-    return min(g[0] for g in gens)
-
-
-def _covolume_2d_doubled(gens):
-    """Twice the area between the axes and the staircase hull (integer)."""
-    poly = [(0, 0)] + _lower_chain(sorted(gens))
-    s = 0
-    for i in range(len(poly)):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % len(poly)]
-        s += x1 * y2 - x2 * y1
-    return abs(s)
-
-
-def _covolume_3d_times_6(gens):
-    """Six times the volume below the strictly-positive-normal facets.
-
-    Facets of conv(gens) + R_+^3 with strictly positive normal are bounded
-    with generator vertices; vertical facets have zero support height for
-    isolated ideals, so the divergence sum over origin-fan tetrahedra needs
-    only these facets.
+    Their normals are the vertices of {w >= 0 : <w, g> >= 1}, found by
+    double description (Motzkin et al. 1953; Fukuda-Prodon 1996) on the
+    cone {(w, t) >= 0 : <w, g> - t >= 0}: from the n + 1 unit rays, add one
+    generator row at a time, keeping primitive integer rays with the mask
+    of constraints they vanish on (bit i <= n: sign of coordinate i; bit
+    n + 1 + k: generator k).  A positive and a negative ray combine only
+    when adjacent: they share at least n - 1 constraints, and no third ray
+    vanishes wherever both vanish.
     """
-    normals = set()
-    for v1, v2, v3 in combinations(gens, 3):
-        u = tuple(a - b for a, b in zip(v2, v1))
-        w = tuple(a - b for a, b in zip(v3, v1))
-        nvec = (u[1] * w[2] - u[2] * w[1],
-                u[2] * w[0] - u[0] * w[2],
-                u[0] * w[1] - u[1] * w[0])
-        if all(c > 0 for c in nvec):
-            normals.add(_primitive(nvec))
-        elif all(c < 0 for c in nvec):
-            normals.add(_primitive(tuple(-c for c in nvec)))
-    total6 = 0
-    for w in normals:
-        h = min(sum(a * b for a, b in zip(w, g)) for g in gens)
-        face = [g for g in gens if sum(a * b for a, b in zip(w, g)) == h]
-        if len(face) < 3:
-            continue
-        drop = max(range(3), key=lambda k: w[k])
-        keep = [k for k in range(3) if k != drop]
-        proj = {}
-        for g in face:
-            proj[(g[keep[0]], g[keep[1]])] = g
-        hull2 = _hull_2d(list(proj))
-        if len(hull2) < 3:
-            continue
-        ring = [proj[p] for p in hull2]
-        s = 0
-        p0 = ring[0]
-        for i in range(1, len(ring) - 1):
-            p1, p2 = ring[i], ring[i + 1]
-            s += (p0[0] * (p1[1] * p2[2] - p1[2] * p2[1])
-                  - p0[1] * (p1[0] * p2[2] - p1[2] * p2[0])
-                  + p0[2] * (p1[0] * p2[1] - p1[1] * p2[0]))
-        total6 += abs(s)
-    return total6
+    d = n + 1
+    rays = [(tuple(int(i == j) for j in range(d)), ((1 << d) - 1) ^ (1 << i))
+            for i in range(d)]
+    for k, g in enumerate(gens):
+        row, bit = (*g, -1), 1 << (d + k)
+        signed = [(sum(a * b for a, b in zip(row, r)), r, z) for r, z in rays]
+        kept = [(r, z | bit if s == 0 else z) for s, r, z in signed if s >= 0]
+        negative = [x for x in signed if x[0] < 0]
+        for sp, p, zp in (x for x in signed if x[0] > 0):
+            for sq, q, zq in negative:
+                common = zp & zq
+                if common.bit_count() < d - 2 or sum(
+                        (z & common) == common for _, z in rays) > 2:
+                    continue
+                r = tuple(sp * b - sq * a for a, b in zip(p, q))
+                c = gcd(*r)
+                kept.append((tuple(x // c for x in r), common | bit))
+        rays = kept
+    return [z >> d for r, z in rays if r[n] > 0]
+
+
+def _pulled(face, walls, memo):
+    """Pulling triangulation of a face (a generator mask) as tuples of
+    generator indices: the face's least point, a vertex, coned over the
+    facets of the face that miss it.  Those facets are the maximal proper
+    intersections of the face with the facets of P(J), ``walls``."""
+    if face not in memo:
+        low = face & -face
+        apex = low.bit_length() - 1
+        parts = {face & f for f in walls} - {0, face}
+        memo[face] = [(apex,)] if face == low else [
+            (apex,) + s for p in parts
+            if not p & low and not any(p != q and p & q == p for q in parts)
+            for s in _pulled(p, walls, memo)]
+    return memo[face]
+
+
+def _abs_det(rows):
+    """|det| of an integer matrix by fraction-free (Bareiss) elimination."""
+    m = [list(r) for r in rows]
+    prev = 1
+    for k in range(len(m) - 1):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        m[k], m[pivot] = m[pivot], m[k]
+        for row in m[k + 1:]:
+            row[k + 1:] = [(x * m[k][k] - row[k] * y) // prev
+                           for x, y in zip(row[k + 1:], m[k][k + 1:])]
+        prev = m[k][k]
+    return abs(m[-1][-1])
 
 
 def covolume_times_factorial(ideal):
     """n! times the volume of the bounded complement of the Newton
-    polyhedron; equals e_n and cross-checks the table fit.  n <= 3 only."""
+    polyhedron P(J), for every n; equals e_n and cross-checks the fit.
+
+    The complement is the union of the origin pyramids over the compact
+    facets (the coordinate facets give height 0).  Over a pulling
+    triangulation of each compact facet, a simplex v_1..v_n contributes
+    |det(v_1..v_n)|.
+    """
     if ideal.is_unit:
         raise UnitIdealError("covolume undefined for the unit ideal")
     if not is_isolated_zero(ideal):
         raise NonIsolatedError(f"no isolated zero: {ideal}")
     n = ideal.n
-    if n > 3:
-        raise ValueError("covolume oracle supports n <= 3 only")
-    gens = ideal.generators
-    if n == 1:
-        return _covolume_1d(gens)
-    if n == 2:
-        return _covolume_2d_doubled(gens)
-    return _covolume_3d_times_6(gens)
+    gens = sorted(ideal.generators)
+    facets = _compact_facets(gens, n)
+    walls = facets + [sum(1 << k for k, g in enumerate(gens) if g[i] == 0)
+                      for i in range(n)]
+    memo = {}
+    return sum(_abs_det([gens[i] for i in s])
+               for f in facets for s in _pulled(f, walls, memo))
 
 
 @dataclass(frozen=True)

@@ -77,9 +77,7 @@ def build_ideal_report(ideal):
     if n >= 2:
         checks["mixed_bound_le_c"] = brep.mixed_cmp in (GT, EQ)
     checks["chain"] = brep.chain.ok
-    if n <= 3:
-        checks["covolume_matches_top"] = (
-            covolume_times_factorial(ideal) == e[n])
+    checks["covolume_matches_top"] = covolume_times_factorial(ideal) == e[n]
     if all(v > 0 for v in cert.x0):
         psi = minorant_from_certificate(cert)
         cumulative = []

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from .groebner import MonomialOrder, parse_polynomial
 from .lattice import normalize_generators
+from .multiplicities import MultiplicitySequence
 
 
 class SchemaError(ValueError):
@@ -47,6 +48,19 @@ def ideal_from_dict(data):
         return normalize_generators(data["generators"], int(data["n"]))
     except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc
+
+
+def sequence_from_dict(data):
+    """(sequence, c or None) from {"e": [1, e_1, ..., e_n], "c": ...}."""
+    try:
+        e = tuple(data["e"])
+        seq = MultiplicitySequence(tuple(int(v) for v in e))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(str(exc)) from exc
+    c = parse_frac(data["c"]) if "c" in data else None
+    if seq.e != e or seq.n < 1 or (c is not None and c <= 0):
+        raise SchemaError("need integers e_0, ..., e_n with n >= 1, c > 0")
+    return seq, c
 
 
 def load_ideal(path):
@@ -103,19 +117,21 @@ def order_to_dict(order):
     return out
 
 
-def order_from_dict(data):
+def order_from_dict(data, n):
     if not isinstance(data, dict) or "kind" not in data:
         raise SchemaError('order must be {"kind": ..., ...}')
     try:
-        return MonomialOrder(
+        order = MonomialOrder(
             kind=data["kind"],
             precedence=tuple(data["precedence"])
             if "precedence" in data else None,
             weights=tuple(data["weights"]) if "weights" in data else None,
             tiebreak=data.get("tiebreak", "grevlex"),
         )
+        order.key((0,) * n)  # checks the precedence against n
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
+    return order
 
 
 def polynomial_ideal_from_dict(data):
@@ -125,8 +141,11 @@ def polynomial_ideal_from_dict(data):
         raise SchemaError('expected {"n": ..., "polynomials": [...]}')
     n = int(data["n"])
     polys = [parse_polynomial(text, n) for text in data["polynomials"]]
-    order = order_from_dict(data["order"]) if "order" in data else None
-    orders = [order_from_dict(o) for o in data["orders"]] \
+    if any(p.constant_term() != 0 for p in polys):
+        raise SchemaError(
+            "generators must have zero constant term (local ring at 0)")
+    order = order_from_dict(data["order"], n) if "order" in data else None
+    orders = [order_from_dict(o, n) for o in data["orders"]] \
         if "orders" in data else None
     return polys, order, orders
 

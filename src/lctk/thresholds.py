@@ -186,10 +186,13 @@ def minorant_from_certificate(cert):
                            axis_order=tuple(p[1] for p in paired))
 
 
+#: Doubling box sizes R of the integrability probe.
+PROBE_SCHEDULE = (4, 8, 16, 32)
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     grid: int = 128               # quadrature points per axis
-    schedule: tuple = (4, 8, 16, 32)  # doubling box sizes R
     theta: float = 0.05           # ratio tolerance
     max_points: int = 1 << 24     # resource cap on grid size
 
@@ -223,7 +226,7 @@ def numeric_integrability_probe(ideal, c, config=ProbeConfig()):
     gens = [tuple(float(e) for e in g) for g in ideal.generators]
     trail = []
     prev = None
-    for R in config.schedule:
+    for R in PROBE_SCHEDULE:
         axes = [np.linspace(0.0, float(R), config.grid) for _ in range(n)]
         shape = [1] * n
         nu = None
@@ -254,9 +257,6 @@ def numeric_integrability_probe(ideal, c, config=ProbeConfig()):
         trail.append((R, val, ratio))
         prev = val
     last_ratio = trail[-1][2]
-    if last_ratio is None:
-        return ProbeResult("inconclusive", tuple(trail),
-                           note="schedule too short")
     if last_ratio <= 1.0 + config.theta:
         verdict = "converges"
     elif last_ratio >= 1.0 + 2.0 * config.theta:

@@ -257,8 +257,6 @@ def test_criterion_9_covolume_cross_check(cusp_report, diagonal_sweep,
     if covolume_times_factorial(rep.ideal) != rep.mults.e[-1]:
         bad += 1
     for a, J, _, fitted in diagonal_sweep[0]:
-        if J.n > 3:
-            continue
         checked += 1
         if covolume_times_factorial(J) != fitted.e[-1]:
             bad += 1

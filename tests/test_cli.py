@@ -166,6 +166,34 @@ class TestBounds:
         assert json.loads(out)["bounds"]["main_bound"] == "5/6"
 
 
+class TestInputContract:
+    SWEEP_BAD_ORDER = {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                       "orders": [{"kind": "lex", "precedence": [1, 2]},
+                                  {"kind": "lex", "precedence": [1, 1]}]}
+
+    @pytest.mark.parametrize("command, payload, extra", [
+        ("bounds", {"e": [2, 3]}, []),
+        ("bounds", {"e": [1, 0]}, []),
+        ("bounds", {"e": [1]}, []),
+        ("bounds", {"e": [1, 2.5, 6]}, []),
+        ("bounds", {"e": [1, 2, 6], "c": "0"}, []),
+        ("bounds", NON_ISOLATED, []),
+        ("mults", NON_ISOLATED, []),
+        ("probe", CUSP, ["0"]),
+        ("groebner-bound", {"n": 2, "polynomials": ["1 + x1^2", "x2^3"]},
+         []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "lex", "precedence": [1, 3]}},
+         []),
+        ("groebner-bound", SWEEP_BAD_ORDER, ["--sweep"]),
+    ])
+    def test_exit_2(self, tmp_path, capsys, command, payload, extra):
+        code, _, err = run(capsys, [command, write(tmp_path, "in.json",
+                                                   payload)] + extra)
+        assert code == 2
+        assert err.startswith("input error:")
+
+
 class TestVerifyRandom:
     def test_small_sweep_passes(self, tmp_path, capsys):
         code, out, _ = run(capsys, ["--seed", "1", "verify-random",

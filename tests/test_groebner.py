@@ -234,3 +234,35 @@ class TestOrderSweep:
     def test_empty_orders_rejected(self):
         with pytest.raises(ValueError):
             order_sweep([parse_polynomial("x1", 1)], [])
+
+    def test_invariant_error_of_one_order_propagates(self, monkeypatch):
+        from lctk import InvariantError, groebner
+
+        real = groebner.certified_lct_lower_bound
+
+        def broken_for_lex21(polys, order, **kw):
+            if order == LEX21:
+                raise InvariantError("injected")
+            return real(polys, order, **kw)
+
+        monkeypatch.setattr(groebner, "certified_lct_lower_bound",
+                            broken_for_lex21)
+        polys = [parse_polynomial("x1^2 + x2^3", 2)]
+        with pytest.raises(InvariantError, match="injected"):
+            order_sweep(polys, [LEX12, LEX21])
+
+    def test_resource_error_of_one_order_is_tolerated(self, monkeypatch):
+        from lctk import DegreeCapError, groebner
+
+        real = groebner.certified_lct_lower_bound
+
+        def capped_for_lex21(polys, order, **kw):
+            if order == LEX21:
+                raise DegreeCapError("injected")
+            return real(polys, order, **kw)
+
+        monkeypatch.setattr(groebner, "certified_lct_lower_bound",
+                            capped_for_lex21)
+        polys = [parse_polynomial("x1^2 + x2^3", 2)]
+        assert order_sweep(polys, [LEX12, LEX21]).c_initial == \
+            real(polys, LEX12).c_initial

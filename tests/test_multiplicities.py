@@ -16,7 +16,9 @@ from lctk import (
     hilbert_table,
     maximal_ideal,
     mixed_multiplicities,
+    newton_membership,
     normalize_generators,
+    scale_and_multiply,
     unit_ideal,
     validate_sequence,
 )
@@ -234,9 +236,81 @@ class TestCovolume:
             assert covolume_times_factorial(J) == \
                 mixed_multiplicities(J).e[-1]
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            covolume_times_factorial(maximal_ideal(4))
+    def test_maximal_n4(self):
+        assert covolume_times_factorial(maximal_ideal(4)) == 1
+
+
+def _dense_isolated_ideal(rng, n, max_degree):
+    """Pure powers on every axis plus up to 4n random extra generators."""
+    gens = [tuple(rng.randint(1, max_degree) if i == axis else 0
+                  for i in range(n)) for axis in range(n)]
+    gens += [tuple(rng.randint(0, max_degree) for _ in range(n))
+             for _ in range(rng.randint(1, 4 * n))]
+    return normalize_generators([g for g in gens if any(g)], n)
+
+
+class TestCovolumeHigherDimensions:
+    """Exact identities at n = 4 and 5, where the table fit is too slow
+    on the pure lane to serve as the reference."""
+
+    @pytest.mark.parametrize("weights", [
+        (1, 1, 1, 2), (2, 3, 4, 5), (5, 1, 3, 2), (1, 2, 1, 3, 2),
+        (2, 2, 3, 3, 4)])
+    def test_diagonal_is_product_of_weights(self, weights):
+        prod = 1
+        for a in weights:
+            prod *= a
+        assert covolume_times_factorial(diagonal_ideal(weights)) == prod
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_power_scales_by_k_to_the_n(self, n):
+        rng = random.Random(40 + n)
+        for _ in range(8):
+            J = _dense_isolated_ideal(rng, n, 3)
+            base = covolume_times_factorial(J)
+            for k in (2, 3):
+                assert covolume_times_factorial(
+                    scale_and_multiply(J, k, 0)) == k ** n * base
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_permutation_invariant(self, n):
+        rng = random.Random(50 + n)
+        for _ in range(10):
+            J = _dense_isolated_ideal(rng, n, 4)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            K = normalize_generators(
+                [tuple(g[i] for i in perm) for g in J.generators], n)
+            assert covolume_times_factorial(K) == \
+                covolume_times_factorial(J)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_generator_inside_newton_polyhedron_changes_nothing(self, n):
+        # a point of P(J) that no generator divides is a new minimal
+        # generator that leaves P(J), and so the covolume, as it was
+        rng = random.Random(60 + n)
+        added = 0
+        for _ in range(100):
+            J = _dense_isolated_ideal(rng, n, 3)
+            p = tuple(rng.randint(0, 2) for _ in range(n))
+            K = normalize_generators(J.generators + (p,), n)
+            if K == J or not newton_membership(J, p):
+                continue
+            added += 1
+            assert covolume_times_factorial(K) == \
+                covolume_times_factorial(J)
+        assert added >= 5
+
+    def test_points_on_a_facet_change_nothing(self):
+        # (1, 1, 0, 0) and its permutations lie on the one compact facet
+        # x_1 + ... + x_4 = 2 of P((2, 2, 2, 2)) without being vertices
+        n = 4
+        J = diagonal_ideal((2,) * n)
+        extra = [tuple(int(i in pair) for i in range(n))
+                 for pair in ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2))]
+        K = normalize_generators(J.generators + tuple(extra), n)
+        assert len(K.generators) == n + len(extra)
+        assert covolume_times_factorial(K) == 2 ** n
 
 
 class TestValidateSequence:

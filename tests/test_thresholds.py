@@ -20,6 +20,7 @@ from lctk import (
 from lctk import report, simplex, thresholds
 from lctk.report import build_ideal_report, random_isolated_ideal
 from lctk.thresholds import (
+    PROBE_SCHEDULE,
     ProbeConfig,
     UnitIdealWarning,
     minorant_from_certificate,
@@ -298,7 +299,7 @@ class TestProbe:
 
     def test_trail_recorded(self):
         res = numeric_integrability_probe(CUSP, F(3, 4))
-        assert len(res.trail) == len(ProbeConfig().schedule)
+        assert len(res.trail) == len(PROBE_SCHEDULE)
         assert res.trail[0][2] is None
         assert all(r[2] is not None for r in res.trail[1:])
 
