@@ -96,6 +96,10 @@ class MonomialOrder:
             return v
         if self.kind == "grevlex":
             return (sum(mono), tuple(-v[i] for i in range(n - 1, -1, -1)))
+        if len(self.weights) != n:
+            raise ValueError(
+                f"weights {self.weights} have length {len(self.weights)}, "
+                f"expected {n}")
         w = sum(wi * mi for wi, mi in zip(self.weights, mono))
         sub = MonomialOrder(self.tiebreak, precedence=self.precedence)
         return (w, sub.key(mono))

@@ -1,14 +1,15 @@
 """Intermediate multiplicity sequences of isolated-zero monomial ideals.
 
-The sequence e_0, ..., e_n is extracted from the bivariate colength table
-L(r, t) = colength(m^r * J^t): past a finite base the table agrees with a
-polynomial of total degree n, and the mixed finite difference of order
-(n-j, j) is then constantly e_j.  Generic slices of monomial ideals are not
-monomial, so this bivariate characterization replaces slicing; the diagonal
-closed form and the covolume oracle cross-check it.  The oracle computes
-e_n = n! covol(P(J)) exactly for every n: double description finds the
+Mixed multiplicities of monomial ideals are mixed covolumes, so e_0..e_n
+come exactly from n! covol(P(m) + k P(J)) at k = 0..n.  The covolume
+oracle computes n! covol(P(I)) for every n: double description finds the
 compact facets of the Newton polyhedron, and a pulling triangulation of
-each one sums integer determinants.
+each one sums integer determinants.  The bivariate colength table
+L(r, t) = colength(m^r * J^t) certifies the sequence: past a finite base
+it agrees with a polynomial of total degree n, and the mixed finite
+difference of order (n-j, j) is then constantly e_j.  Generic slices of
+monomial ideals are not monomial, so this bivariate characterization
+replaces slicing; the diagonal closed form cross-checks both routes.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .lattice import (
     diagonal_weights_of,
     is_diagonal,
     is_isolated_zero,
+    normalize_generators,
 )
 
 #: Hilbert fitting retries doubling the base up to this bound.
@@ -141,7 +143,7 @@ def _mixed_difference(table, r0, t0, dr, dt):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted sequence plus the table that stabilized it."""
+    """Certified sequence plus the table that certified it at its base."""
 
     mults: MultiplicitySequence
     table: HilbertTable
@@ -149,33 +151,34 @@ class FitResult:
 
 
 def fit_multiplicities(ideal):
-    """Multiplicity sequence from stabilized mixed differences of the table.
+    """Multiplicity sequence from the mixed covolumes, certified by the table.
 
-    The difference of order (n-j, j) equals e_j once L is polynomial.
-    Stabilization is declared when, for every j, the difference agrees at
-    three consecutive diagonal points; the base starts at n times the
-    maximal generator degree and doubles up to the cap.
+    ``mixed_covolumes`` gives e.  The colength table certifies it: a base
+    is accepted when, for every j, the difference of order (n-j, j) agrees
+    at three consecutive diagonal points and equals e_j.  The base starts
+    at the maximal generator degree and doubles up to the cap; a table
+    still unstable there raises UnstableFitError, and a stable one that
+    disagrees with the covolumes raises InvariantError.
     """
-    if ideal.is_unit:
-        raise UnitIdealError("multiplicities undefined for the unit ideal")
-    if not is_isolated_zero(ideal):
-        raise NonIsolatedError(f"no isolated zero: {ideal}")
+    e = mixed_covolumes(ideal)
     n = ideal.n
-    maxdeg = max(sum(g) for g in ideal.generators)
-    base = min(max(1, n * maxdeg), BASE_CAP)
+    base = min(max(sum(g) for g in ideal.generators), BASE_CAP)
     while True:
         table = hilbert_table(ideal, base, n + 2)
         seq = []
-        stable = True
         for j in range(n + 1):
-            vals = [_mixed_difference(table, base + i, base + i, n - j, j)
-                    for i in range(3)]
-            if vals[0] != vals[1] or vals[1] != vals[2]:
-                stable = False
+            vals = {_mixed_difference(table, base + i, base + i, n - j, j)
+                    for i in range(3)}
+            if len(vals) > 1:
                 break
-            seq.append(vals[0])
-        if stable and seq[0] == 1 and all(v > 0 for v in seq):
-            return FitResult(MultiplicitySequence(tuple(seq)), table, base)
+            seq.extend(vals)
+        else:
+            if tuple(seq) == e:
+                return FitResult(MultiplicitySequence(e), table, base)
+            if base >= BASE_CAP:
+                raise InvariantError(
+                    f"stable table differences {seq} disagree with the "
+                    f"mixed covolumes {list(e)} for {ideal}")
         if base >= BASE_CAP:
             raise UnstableFitError(
                 f"no stable fit up to base {BASE_CAP} for {ideal}",
@@ -274,6 +277,51 @@ def covolume_times_factorial(ideal):
     memo = {}
     return sum(_abs_det([gens[i] for i in s])
                for f in facets for s in _pulled(f, walls, memo))
+
+
+def mixed_covolumes(ideal):
+    """e_0, ..., e_n of an isolated-zero ideal from exact covolumes.
+
+    Mixed multiplicities of monomial ideals are mixed covolumes (Teissier;
+    Kaveh-Khovanskii 2014): n! covol(P(m) + k P(J)) = sum_j C(n, j) k^j e_j.
+    The vertices of k P(J) are k times those of P(J), which are among the
+    generators, so P(m) + k P(J) is spanned by the points u + k g, u a unit
+    vector and g a generator.  The covolumes at k = 1..n, with e_0 = 1 at
+    k = 0, determine the integer polynomial in k; its Newton divided
+    differences and coefficients are integers, and coefficient j divided by
+    C(n, j) is e_j.
+    """
+    if ideal.is_unit:
+        raise UnitIdealError("multiplicities undefined for the unit ideal")
+    if not is_isolated_zero(ideal):
+        raise NonIsolatedError(f"no isolated zero: {ideal}")
+    n = ideal.n
+    d = [1]
+    for k in range(1, n + 1):
+        d.append(covolume_times_factorial(normalize_generators(
+            [tuple(k * x + (i == axis) for i, x in enumerate(g))
+             for g in ideal.generators for axis in range(n)], n)))
+    # divided differences on the nodes 0..n, then Horner back to powers of k
+    for i in range(1, n + 1):
+        for k in range(n, i - 1, -1):
+            d[k], rest = divmod(d[k] - d[k - 1], i)
+            if rest:
+                raise InvariantError(
+                    f"covolumes of m * J^k are not an integer polynomial "
+                    f"in k for {ideal}")
+    coeffs = [d[n]]
+    for i in range(n - 1, -1, -1):
+        coeffs = [d[i] - i * coeffs[0]] + [
+            a - i * b for a, b in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
+    e = []
+    for j, y in enumerate(coeffs):
+        q, rest = divmod(y, comb(n, j))
+        if rest or q <= 0:
+            raise InvariantError(
+                f"mixed covolume e_{j} = {y}/{comb(n, j)} is not a positive "
+                f"integer for {ideal}")
+        e.append(q)
+    return tuple(e)
 
 
 @dataclass(frozen=True)

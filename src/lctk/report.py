@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .bounds import EQ, GT, build_bounds_report, f_value
-from .errors import ResourceCapError
+from .errors import NonIsolatedError, ResourceCapError
 from .lattice import is_isolated_zero, normalize_generators
 from .multiplicities import (
     covolume_times_factorial,
@@ -50,7 +50,7 @@ class IdealReport:
 def build_ideal_report(ideal):
     """Full verification report; requires an isolated zero."""
     if not is_isolated_zero(ideal):
-        raise ValueError(f"report requires an isolated zero: {ideal}")
+        raise NonIsolatedError(f"report requires an isolated zero: {ideal}")
     cert = kiselman_lct(ideal)
     dual = howald_lct(ideal)
     checks = {}

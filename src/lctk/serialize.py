@@ -128,7 +128,7 @@ def order_from_dict(data, n):
             weights=tuple(data["weights"]) if "weights" in data else None,
             tiebreak=data.get("tiebreak", "grevlex"),
         )
-        order.key((0,) * n)  # checks the precedence against n
+        order.key((0,) * n)  # checks the precedence and weights against n
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     return order

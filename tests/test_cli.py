@@ -186,6 +186,13 @@ class TestInputContract:
                             "order": {"kind": "lex", "precedence": [1, 3]}},
          []),
         ("groebner-bound", SWEEP_BAD_ORDER, ["--sweep"]),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "weighted", "weights": [1]}},
+         []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "weighted",
+                                      "weights": [1, 5, 7]}},
+         []),
     ])
     def test_exit_2(self, tmp_path, capsys, command, payload, extra):
         code, _, err = run(capsys, [command, write(tmp_path, "in.json",

@@ -98,6 +98,14 @@ class TestOrders:
         with pytest.raises(ValueError):
             MonomialOrder("weighted")
 
+    @pytest.mark.parametrize("weights", [(1,), (1, 5, 7)])
+    def test_weighted_length_must_match(self, weights):
+        order = MonomialOrder("weighted", weights=weights)
+        with pytest.raises(ValueError, match="expected 2"):
+            order.key((0, 0))
+        with pytest.raises(ValueError, match="expected 2"):
+            buchberger([parse_polynomial("x1^2 + x2^3", 2)], order)
+
 
 class TestBuchberger:
     def test_principal_ideal_fixed_point(self):

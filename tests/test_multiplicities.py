@@ -6,6 +6,7 @@ import pytest
 
 from lctk import (
     BACKEND,
+    InvariantError,
     NonIsolatedError,
     UnitIdealError,
     UnstableFitError,
@@ -27,6 +28,7 @@ from lctk.multiplicities import (
     MultiplicitySequence,
     colength_of_product,
     first_multiplicity,
+    mixed_covolumes,
 )
 from lctk.report import random_isolated_ideal
 
@@ -164,7 +166,7 @@ class TestMixedMultiplicities:
         fit = fit_multiplicities(CUSP)
         assert fit.mults.e == (1, 2, 6)
         assert fit.table.base == fit.base
-        assert fit.base == 2 * 3  # n * max generator degree
+        assert fit.base == 3  # the maximal generator degree
 
     def test_unstable_fit_keeps_last_table(self, monkeypatch):
         from lctk import multiplicities
@@ -311,6 +313,67 @@ class TestCovolumeHigherDimensions:
         K = normalize_generators(J.generators + tuple(extra), n)
         assert len(K.generators) == n + len(extra)
         assert covolume_times_factorial(K) == 2 ** n
+
+
+class TestMixedCovolumes:
+    """e from the covolumes of m * J^k, and the table's certificate."""
+
+    @pytest.mark.parametrize("weights", [
+        (4,), (2, 3), (3, 3), (1, 2, 5), (2, 2, 2, 3), (5, 1, 3, 2),
+        (1, 1, 2, 3, 4), (2, 3, 3, 4, 5)])
+    def test_diagonal_closed_form(self, weights):
+        assert mixed_covolumes(diagonal_ideal(weights)) == \
+            diagonal_mults(sorted(weights)).e
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_power_scales_e_j_by_k_to_the_j(self, n):
+        rng = random.Random(70 + n)
+        for _ in range(6):
+            J = _dense_isolated_ideal(rng, n, 3)
+            e = mixed_covolumes(J)
+            for k in (2, 3):
+                assert mixed_covolumes(scale_and_multiply(J, k, 0)) == \
+                    tuple(k ** j * v for j, v in enumerate(e))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_top_is_the_covolume(self, n):
+        rng = random.Random(80 + n)
+        for _ in range(8):
+            J = _dense_isolated_ideal(rng, n, 3)
+            e = mixed_covolumes(J)
+            assert e[n] == covolume_times_factorial(J)
+            assert e[1] == first_multiplicity(J)
+            assert validate_sequence(e).all_ok
+
+    @pytest.mark.parametrize("covolumes, message", [
+        ((2, 2), "not an integer polynomial"),     # 1 + 3k/2 - k^2/2
+        ((10, 31), "e_1 = 3/2 is not a positive"),  # 1 + 3k + 6k^2
+        ((5, 21), "e_1 = -2/2 is not a positive"),  # 1 - 2k + 6k^2
+    ])
+    def test_bad_covolumes_are_invariant_errors(self, monkeypatch,
+                                                covolumes, message):
+        from lctk import multiplicities
+
+        values = iter(covolumes)
+        monkeypatch.setattr(multiplicities, "covolume_times_factorial",
+                            lambda ideal: next(values))
+        with pytest.raises(InvariantError, match=message):
+            mixed_covolumes(CUSP)
+
+    def test_wrong_covolumes_are_invariant_error(self, monkeypatch, tmp_path,
+                                                 capsys):
+        from lctk import cli, multiplicities
+
+        monkeypatch.setattr(multiplicities, "mixed_covolumes",
+                            lambda ideal: (1, 2, 7))
+        with pytest.raises(InvariantError, match="disagree"):
+            fit_multiplicities(CUSP)
+        path = tmp_path / "cusp.json"
+        path.write_text('{"n": 2, "generators": [[2, 0], [0, 3]]}')
+        assert cli.main(["mults", str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "disagree with the mixed covolumes [1, 2, 7]" in err
 
 
 class TestValidateSequence:

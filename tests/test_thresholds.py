@@ -5,6 +5,7 @@ import pytest
 
 from lctk import (
     DegenerateMinorantError,
+    NonIsolatedError,
     UnitIdealError,
     diagonal_ideal,
     diagonal_lct,
@@ -263,6 +264,15 @@ class TestOneKiselmanSolvePerReport:
         # Kiselman with its n lex-min tiebreaks, then Howald
         assert calls == [1 + J.n, 1]
         assert minorants == [worst_diagonal_minorant(J)]
+
+
+class TestReportInput:
+    def test_non_isolated_raises(self):
+        # the threshold exists, but the multiplicities do not
+        J = normalize_generators([(2, 0), (1, 1)], 2)
+        assert kiselman_lct(J).c > 0
+        with pytest.raises(NonIsolatedError):
+            build_ideal_report(J)
 
 
 class TestSkodaSandwich:
