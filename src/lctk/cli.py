@@ -102,7 +102,7 @@ def cmd_mults(args):
     ideal = load_ideal(args.input)
     fit = fit_multiplicities(ideal)
     payload = mults_to_dict(fit.mults)
-    payload["base"] = fit.base
+    payload["base"] = fit.table.base
     _emit(payload)
     if args.dump_table:
         with open(args.dump_table, "w", newline="") as fh:

@@ -4,12 +4,19 @@ bases, initial ideals, and certified threshold lower bounds.
 Degenerating a polynomial ideal to the monomial ideal of its leading terms
 can only lower the log canonical threshold, so the exact threshold of the
 initial ideal is a certified lower bound for the threshold of the input.
+
+``buchberger`` records each basis member's leading monomial once, when the
+member joins the basis, and queues its pairs on a heap.
 """
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
+from operator import sub
 
+from . import kernels
 from .errors import (
     PolynomialParseError,
     ResourceCapError,
@@ -60,8 +67,11 @@ class MonomialOrder:
     """Total multiplicative order on monomials.
 
     kind is one of lex, grevlex, weighted; precedence lists 1-based variable
-    indices from most to least significant; weighted orders carry positive
-    per-variable weights plus a tiebreak kind.
+    indices from most to least significant (None: x1 > x2 > ..., in any
+    number of variables); weighted orders carry positive per-variable
+    weights plus a tiebreak kind.  Construction checks that the precedence
+    is a permutation of 1..len(precedence); ``key`` checks only that the
+    monomial's length matches the precedence and the weights.
     """
 
     kind: str
@@ -72,37 +82,39 @@ class MonomialOrder:
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex", "weighted"):
             raise ValueError(f"unknown order kind {self.kind!r}")
+        p = self.precedence
+        if p is not None and sorted(p) != list(range(1, len(p) + 1)):
+            raise ValueError(
+                f"precedence {p} is not a permutation of 1..{len(p)}")
         if self.kind == "weighted":
-            if not self.weights or any(w <= 0 for w in self.weights):
-                raise ValueError("weighted orders need positive weights")
+            if not self.weights or not all(
+                    0 < w < inf for w in self.weights):
+                raise ValueError(
+                    "weighted orders need positive finite weights")
             if self.tiebreak not in ("lex", "grevlex"):
                 raise ValueError(f"unknown tiebreak {self.tiebreak!r}")
-
-    def _perm(self, n):
-        if self.precedence is None:
-            return tuple(range(n))
-        if sorted(self.precedence) != list(range(1, n + 1)):
-            raise ValueError(
-                f"precedence {self.precedence} is not a permutation of "
-                f"1..{n}")
-        return tuple(i - 1 for i in self.precedence)
 
     def key(self, mono):
         """Sort key: larger key means larger monomial."""
         n = len(mono)
-        perm = self._perm(n)
-        v = tuple(mono[i] for i in perm)
-        if self.kind == "lex":
-            return v
-        if self.kind == "grevlex":
-            return (sum(mono), tuple(-v[i] for i in range(n - 1, -1, -1)))
+        p = self.precedence
+        if p is None:
+            v = tuple(mono)
+        elif len(p) == n:
+            v = tuple(mono[i - 1] for i in p)
+        else:
+            raise ValueError(
+                f"precedence {p} is not a permutation of 1..{n}")
+        tiebreak = self.tiebreak if self.kind == "weighted" else self.kind
+        tie = v if tiebreak == "lex" else (
+            sum(mono), tuple(-e for e in reversed(v)))
+        if self.kind != "weighted":
+            return tie
         if len(self.weights) != n:
             raise ValueError(
                 f"weights {self.weights} have length {len(self.weights)}, "
                 f"expected {n}")
-        w = sum(wi * mi for wi, mi in zip(self.weights, mono))
-        sub = MonomialOrder(self.tiebreak, precedence=self.precedence)
-        return (w, sub.key(mono))
+        return (sum(w * m for w, m in zip(self.weights, mono)), tie)
 
 
 def default_order(n):
@@ -230,6 +242,21 @@ class _StepCounter:
             raise ResourceCapError("reduction step cap exceeded")
 
 
+def _subtract_shifted(work, g, lm, to, factor):
+    """In place, work -= factor * x^(to - lm) * g, where lm is the leading
+    monomial of g; the caller accounts for the lead term, at to."""
+    shift = tuple(map(sub, to, lm))
+    for gm, gc in g.terms.items():
+        if gm == lm:
+            continue
+        target = tuple(a + b for a, b in zip(gm, shift))
+        acc = work.get(target, Fraction(0)) - factor * gc
+        if acc == 0:
+            work.pop(target, None)
+        else:
+            work[target] = acc
+
+
 def normal_form(poly, basis, order, counter=None):
     """Full multivariate division remainder of poly modulo the basis.
 
@@ -246,17 +273,7 @@ def normal_form(poly, basis, order, counter=None):
             if _divides(lm, mono):
                 if counter is not None:
                     counter.spend()
-                shift = tuple(a - b for a, b in zip(mono, lm))
-                factor = coeff / g.terms[lm]
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue
-                    target = tuple(a + b for a, b in zip(gm, shift))
-                    acc = work.get(target, Fraction(0)) - factor * gc
-                    if acc == 0:
-                        work.pop(target, None)
-                    else:
-                        work[target] = acc
+                _subtract_shifted(work, g, lm, mono, coeff / g.terms[lm])
                 break
         else:
             remainder[mono] = coeff
@@ -265,45 +282,30 @@ def normal_form(poly, basis, order, counter=None):
     return Polynomial(poly.n, remainder)
 
 
-def _monic(poly, order):
-    lm = leading_monomial(poly, order)
-    lc = poly.terms[lm]
-    if lc == 1:
-        return poly
-    return Polynomial(poly.n, {m: c / lc for m, c in poly.terms.items()})
+def _s_polynomial(f, lf, g, lg):
+    lcm = tuple(map(max, lf, lg))
+    terms = {}
+    _subtract_shifted(terms, f, lf, lcm, -1 / f.terms[lf])
+    _subtract_shifted(terms, g, lg, lcm, 1 / g.terms[lg])
+    return Polynomial(f.n, terms) if terms else None
 
 
 def s_polynomial(f, g, order):
-    """S-polynomial of two monic polynomials; None when it cancels to zero."""
-    lf = leading_monomial(f, order)
-    lg = leading_monomial(g, order)
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    sf = tuple(a - b for a, b in zip(lcm, lf))
-    sg = tuple(a - b for a, b in zip(lcm, lg))
-    terms = {}
-    cf = f.terms[lf]
-    cg = g.terms[lg]
-    for m, c in f.terms.items():
-        target = tuple(a + b for a, b in zip(m, sf))
-        terms[target] = terms.get(target, Fraction(0)) + c / cf
-    for m, c in g.terms.items():
-        target = tuple(a + b for a, b in zip(m, sg))
-        acc = terms.get(target, Fraction(0)) - c / cg
-        if acc == 0:
-            terms.pop(target, None)
-        else:
-            terms[target] = acc
-    terms = {m: c for m, c in terms.items() if c != 0}
-    if not terms:
-        return None
-    return Polynomial(f.n, terms)
+    """x^a f / lc(f) - x^b g / lc(g), the shifts taking both leading
+    monomials to their lcm; None when it cancels to zero."""
+    return _s_polynomial(f, leading_monomial(f, order),
+                         g, leading_monomial(g, order))
 
 
 def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
     """Reduced Groebner basis: monic, pairwise fully reduced, deterministic.
 
-    Pair selection is the normal strategy (smallest lcm total degree first,
-    then insertion order); pairs with coprime leading monomials are skipped.
+    Inputs and nonzero remainders join the basis monic.  Pair selection is
+    the normal strategy: a heap of (lcm total degree, i, j) pops the
+    smallest lcm degree, then insertion order; pairs with coprime leading
+    monomials reduce to zero and are never queued.  The first member for
+    each minimal leading monomial is kept, its tail reduced by the others;
+    the result lists them by decreasing leading monomial.
     """
     if not polys:
         raise ValueError("need at least one polynomial")
@@ -311,51 +313,41 @@ def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
     if any(p.n != n for p in polys):
         raise ValueError("polynomials live in different rings")
     counter = _StepCounter(max_reductions)
-    basis = [_monic(p, order) for p in polys]
-    lms = [leading_monomial(g, order) for g in basis]
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    basis, lms, pairs = [], [], []
+
+    def add(poly):
+        lm = leading_monomial(poly, order)
+        lc = poly.terms[lm]
+        if lc != 1:
+            poly = Polynomial(n, {m: c / lc for m, c in poly.terms.items()})
+        for i, other in enumerate(lms):
+            if any(map(min, other, lm)):
+                heapq.heappush(pairs,
+                               (sum(map(max, other, lm)), i, len(basis)))
+        basis.append(poly)
+        lms.append(lm)
+
+    for p in polys:
+        add(p)
     while pairs:
-        best = min(
-            range(len(pairs)),
-            key=lambda k: (sum(max(a, b) for a, b in zip(
-                lms[pairs[k][0]], lms[pairs[k][1]])), pairs[k]))
-        i, j = pairs.pop(best)
-        lcm = tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
-        if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
-            continue  # coprime leading monomials reduce to zero
-        s = s_polynomial(basis[i], basis[j], order)
-        if s is None:
-            continue
-        rem = normal_form(s, basis, order, counter)
-        if rem is None:
-            continue
-        rem = _monic(rem, order)
-        basis.append(rem)
-        lms.append(leading_monomial(rem, order))
-        new = len(basis) - 1
-        pairs.extend((i, new) for i in range(new))
-    # minimalize: drop members whose leading monomial another one divides
-    keep = []
-    for i, lm in enumerate(lms):
-        dominated = False
-        for j in range(len(lms)):
-            if j != i and _divides(lms[j], lm) and (lms[j] != lm or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    kept = [basis[i] for i in keep]
-    out = []
-    for g in kept:
-        others = [h for h in kept if h is not g]
-        if others:
-            # the lead survives (leading monomials form an antichain),
-            # so this only rewrites the tail
-            g = normal_form(g, others, order, counter)
-        out.append(_monic(g, order))
-    out.sort(key=lambda g: order.key(leading_monomial(g, order)),
-             reverse=True)
-    return out
+        _, i, j = heapq.heappop(pairs)
+        s = _s_polynomial(basis[i], lms[i], basis[j], lms[j])
+        if s is not None:
+            rem = normal_form(s, basis, order, counter)
+            if rem is not None:
+                add(rem)
+    minimal = set(kernels.minimalize(lms, n))
+    kept = {}
+    for lm, g in zip(lms, basis):
+        if lm in minimal:
+            kept.setdefault(lm, g)
+    out = {}
+    for lm, g in kept.items():
+        others = [h for h in kept.values() if h is not g]
+        # the monic lead survives (leading monomials form an antichain),
+        # so this only rewrites the tail
+        out[lm] = normal_form(g, others, order, counter) if others else g
+    return [out[lm] for lm in sorted(out, key=order.key, reverse=True)]
 
 
 def initial_ideal(gb, order):
@@ -398,9 +390,9 @@ def certified_lct_lower_bound(polys, order, *,
             raise ValueError(
                 "generators must have zero constant term (local ring at 0)")
     gb = buchberger(polys, order, max_reductions=max_reductions)
-    if any(leading_monomial(g, order) == (0,) * g.n for g in gb):
-        raise UnitIdealError("the ideal is the unit ideal")
     j0 = initial_ideal(gb, order)
+    if j0.is_unit:
+        raise UnitIdealError("the ideal is the unit ideal")
     cert = kiselman_lct(j0)
     mult_bound = None
     mults = None

@@ -95,10 +95,6 @@ def count_cut_complement(terms, n):
     return _py.count_cut_complement(terms, n)
 
 
-def colength_from_gens(gens, n):
-    return count_cut_complement([(g, sum(g)) for g in gens], n)
-
-
 def table_cell(power_gens_list, r, n):
     return count_cut_complement(
         [(g, sum(g) + r) for g in power_gens_list], n)

@@ -133,7 +133,7 @@ def colength(ideal):
         return 0
     if not is_isolated_zero(ideal):
         raise NonIsolatedError(f"infinite colength: {ideal}")
-    return kernels.colength_from_gens(ideal.generators, ideal.n)
+    return kernels.table_cell(ideal.generators, 0, ideal.n)
 
 
 def _degree_compositions(total, n):

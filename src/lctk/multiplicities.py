@@ -83,8 +83,9 @@ def diagonal_mults(a):
     return MultiplicitySequence(tuple(e))
 
 
-def hilbert_table(ideal, base, window):
-    """Exact colength table of m^r * J^t on [base, base+window]^2.
+def hilbert_table(ideal, base):
+    """Exact colength table of m^r * J^t on [base, base + n + 2]^2, the
+    window the order-n differences at three diagonal points read.
 
     Diagonal ideals use a per-axis aggregated count; everything else counts
     the complement of the implicit cut family built from minimal generators
@@ -94,9 +95,8 @@ def hilbert_table(ideal, base, window):
         raise UnitIdealError("colength table undefined for the unit ideal")
     if not is_isolated_zero(ideal):
         raise NonIsolatedError(f"no isolated zero: {ideal}")
-    if window < ideal.n + 2:
-        raise ValueError(f"window must be >= n + 2 = {ideal.n + 2}")
     n = ideal.n
+    window = n + 2
     values = []
     if is_diagonal(ideal):
         a = tuple(sorted(diagonal_weights_of(ideal)))
@@ -147,7 +147,6 @@ class FitResult:
 
     mults: MultiplicitySequence
     table: HilbertTable
-    base: int
 
 
 def fit_multiplicities(ideal):
@@ -164,7 +163,7 @@ def fit_multiplicities(ideal):
     n = ideal.n
     base = min(max(sum(g) for g in ideal.generators), BASE_CAP)
     while True:
-        table = hilbert_table(ideal, base, n + 2)
+        table = hilbert_table(ideal, base)
         seq = []
         for j in range(n + 1):
             vals = {_mixed_difference(table, base + i, base + i, n - j, j)
@@ -174,7 +173,7 @@ def fit_multiplicities(ideal):
             seq.extend(vals)
         else:
             if tuple(seq) == e:
-                return FitResult(MultiplicitySequence(e), table, base)
+                return FitResult(MultiplicitySequence(e), table)
             if base >= BASE_CAP:
                 raise InvariantError(
                     f"stable table differences {seq} disagree with the "

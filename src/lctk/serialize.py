@@ -46,7 +46,7 @@ def ideal_from_dict(data):
         raise SchemaError('expected {"n": ..., "generators": [[...], ...]}')
     try:
         return normalize_generators(data["generators"], int(data["n"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(str(exc)) from exc
 
 
@@ -129,7 +129,7 @@ def order_from_dict(data, n):
             tiebreak=data.get("tiebreak", "grevlex"),
         )
         order.key((0,) * n)  # checks the precedence and weights against n
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc
     return order
 
@@ -139,8 +139,19 @@ def polynomial_ideal_from_dict(data):
     if not isinstance(data, dict) or "n" not in data \
             or "polynomials" not in data:
         raise SchemaError('expected {"n": ..., "polynomials": [...]}')
-    n = int(data["n"])
-    polys = [parse_polynomial(text, n) for text in data["polynomials"]]
+    texts = data["polynomials"]
+    if not (isinstance(texts, list) and texts
+            and all(isinstance(t, str) for t in texts)):
+        raise SchemaError('"polynomials" must be a nonempty list of strings')
+    if "orders" in data and not (isinstance(data["orders"], list)
+                                 and data["orders"]):
+        raise SchemaError('"orders" must be a nonempty list of orders')
+    try:
+        n = int(data["n"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"n must be an integer, got {data['n']!r}") \
+            from exc
+    polys = [parse_polynomial(text, n) for text in texts]
     if any(p.constant_term() != 0 for p in polys):
         raise SchemaError(
             "generators must have zero constant term (local ring at 0)")

@@ -11,6 +11,7 @@ never a certificate.
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -224,33 +225,20 @@ def numeric_integrability_probe(ideal, c, config=ProbeConfig()):
                            note="grid exceeds max_points cap")
     cf = float(c)
     gens = [tuple(float(e) for e in g) for g in ideal.generators]
+    w = np.ones(config.grid)
+    w[0] = w[-1] = 0.5
+    weights = np.meshgrid(*[w] * n, indexing="ij", sparse=True)
     trail = []
     prev = None
     for R in PROBE_SCHEDULE:
-        axes = [np.linspace(0.0, float(R), config.grid) for _ in range(n)]
-        shape = [1] * n
-        nu = None
-        tot = None
-        for axis, ax in enumerate(axes):
-            shape_a = shape.copy()
-            shape_a[axis] = config.grid
-            ax = ax.reshape(shape_a)
-            tot = ax if tot is None else tot + ax
-        for g in gens:
-            val = None
-            for axis, ax in enumerate(axes):
-                shape_a = shape.copy()
-                shape_a[axis] = config.grid
-                term = (g[axis] * ax).reshape(shape_a)
-                val = term if val is None else val + term
-            nu = val if nu is None else np.minimum(nu, val)
-        integrand = np.exp(2.0 * cf * nu - 2.0 * tot)
-        w = np.ones(config.grid)
-        w[0] = w[-1] = 0.5
-        for axis in range(n):
-            shape_a = shape.copy()
-            shape_a[axis] = config.grid
-            integrand = integrand * w.reshape(shape_a)
+        axes = np.meshgrid(*[np.linspace(0.0, float(R), config.grid)] * n,
+                           indexing="ij", sparse=True)
+        tot = reduce(np.add, axes)
+        nu = reduce(np.minimum, [
+            reduce(np.add, [e * ax for e, ax in zip(g, axes)])
+            for g in gens])
+        integrand = reduce(np.multiply, weights,
+                           np.exp(2.0 * cf * nu - 2.0 * tot))
         h = float(R) / (config.grid - 1)
         val = float(np.sum(integrand)) * h ** n
         ratio = None if prev is None else val / prev

@@ -193,6 +193,29 @@ class TestInputContract:
                             "order": {"kind": "weighted",
                                       "weights": [1, 5, 7]}},
          []),
+        ("groebner-bound", {"n": "x", "polynomials": ["x1^2 + x2^3"]}, []),
+        ("groebner-bound", {"n": 2, "polynomials": 7}, []),
+        ("groebner-bound", {"n": 2, "polynomials": []}, []),
+        ("groebner-bound", {"n": 2, "polynomials": []}, ["--sweep"]),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "orders": []}, ["--sweep"]),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "lex", "precedence": 5}},
+         []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "weighted",
+                                      "weights": [1, "a"]}},
+         []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "weighted",
+                                      "weights": [float("nan"), 1]}},
+         []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "weighted",
+                                      "weights": [float("inf"), 1]}},
+         []),
+        ("groebner-bound", {"n": float("inf"), "polynomials": ["x1"]}, []),
+        ("lct", {"n": float("inf"), "generators": [[1]]}, []),
     ])
     def test_exit_2(self, tmp_path, capsys, command, payload, extra):
         code, _, err = run(capsys, [command, write(tmp_path, "in.json",

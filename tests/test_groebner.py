@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -16,7 +17,7 @@ from lctk import (
     order_sweep,
     parse_polynomial,
 )
-from lctk.groebner import normal_form, s_polynomial
+from lctk.groebner import Polynomial, normal_form, s_polynomial
 from lctk.report import random_isolated_ideal
 
 LEX12 = MonomialOrder("lex", precedence=(1, 2))
@@ -87,8 +88,10 @@ class TestOrders:
         assert w.key((0, 3)) == (3, (0, 3))
 
     def test_bad_precedence(self):
-        with pytest.raises(ValueError):
-            MonomialOrder("lex", precedence=(1, 3)).key((0, 0))
+        with pytest.raises(ValueError, match="permutation of 1..2"):
+            MonomialOrder("lex", precedence=(1, 3))
+        with pytest.raises(ValueError, match="permutation of 1..3"):
+            LEX12.key((0, 0, 0))
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
@@ -97,6 +100,11 @@ class TestOrders:
     def test_weighted_needs_weights(self):
         with pytest.raises(ValueError):
             MonomialOrder("weighted")
+
+    @pytest.mark.parametrize("weight", [0, float("nan"), float("inf")])
+    def test_weights_positive_and_finite(self, weight):
+        with pytest.raises(ValueError, match="positive finite weights"):
+            MonomialOrder("weighted", weights=(weight, 1))
 
     @pytest.mark.parametrize("weights", [(1,), (1, 5, 7)])
     def test_weighted_length_must_match(self, weights):
@@ -150,6 +158,113 @@ class TestBuchberger:
                  parse_polynomial("x2^3 - x1", 2)]
         with pytest.raises(ResourceCapError):
             buchberger(polys, LEX12, max_reductions=1)
+
+
+def seeded_ideal(seed, n):
+    """x_i^2 plus one or two terms of higher total degree, exponents at
+    most 5 - n, coefficients +-1..3, for i = 1..n."""
+    rng = random.Random(seed)
+    higher = [m for m in product(range(6 - n), repeat=n) if sum(m) > 2]
+    polys = []
+    for i in range(n):
+        terms = {tuple(2 * (j == i) for j in range(n)): F(1)}
+        for m in rng.sample(higher, rng.randint(1, 2)):
+            terms[m] = F(rng.choice((-1, 1)) * rng.randint(1, 3))
+        polys.append(Polynomial(n, terms))
+    return polys
+
+
+def pinned_orders(n):
+    rev = tuple(range(n, 0, -1))
+    return {
+        "lex": MonomialOrder("lex", precedence=rev),
+        "grevlex": default_order(n),
+        "weighted-lex": MonomialOrder(
+            "weighted", weights=tuple(range(1, n + 1)), tiebreak="lex"),
+        "weighted-grevlex": MonomialOrder(
+            "weighted", precedence=rev, weights=(2,) + (1,) * (n - 1)),
+    }
+
+
+#: (n, seed, order) -> (reduction steps, reduced basis in output order).
+#: The step count depends on the pair order and on each division choice,
+#: so it pins both; the basis is unique.
+PINNED_BASES = {
+    (2, 5, 'lex'): (134, [
+        '-4*x1^4 + 6*x1^3 - 9/4*x1^2 + x2^2',
+        '-2*x1^4 + 3/2*x1^3 + x1^2*x2',
+        'x1^5 - 3/4*x1^4 - 1/4*x1^2',
+    ]),
+    (2, 5, 'grevlex'): (119, [
+        '-16/43*x1^2 + x2^4 + 18/43*x2^3 + 177/172*x2^2',
+        'x1^3 - 177/172*x1^2 - 8/43*x2^3 + 9/43*x2^2',
+        'x1^2*x2 - 18/43*x1^2 - 12/43*x2^3 - 8/43*x2^2',
+        '-16/43*x1^2 + x1*x2^2 + 18/43*x2^3 + 12/43*x2^2',
+    ]),
+    (2, 5, 'weighted-lex'): (167, [
+        '-43/8*x1^3 + 177/32*x1^2 + x2^3 - 9/8*x2^2',
+        '9/4*x1^3 - 43/16*x1^2 + x1*x2^2 + 3/4*x2^2',
+        'x1^4 - 3/2*x1^3 + 9/16*x1^2 - 1/4*x2^2',
+        '-3/2*x1^3 + x1^2*x2 + 9/8*x1^2 - 1/2*x2^2',
+    ]),
+    (2, 5, 'weighted-grevlex'): (119, [
+        'x1^3 - 177/172*x1^2 - 8/43*x2^3 + 9/43*x2^2',
+        'x1^2*x2 - 18/43*x1^2 - 12/43*x2^3 - 8/43*x2^2',
+        '-16/43*x1^2 + x2^4 + 18/43*x2^3 + 177/172*x2^2',
+        '-16/43*x1^2 + x1*x2^2 + 18/43*x2^3 + 12/43*x2^2',
+    ]),
+    (3, 1, 'lex'): (592, [
+        '108*x1^14 - 72*x1^12 + 36*x1^10 + 3/4*x1^8 + 5/2*x1^6'
+        ' + 11/4*x1^4 + x1^2 + x3^2',
+        '72*x1^14 + 1/2*x1^8 + 2*x1^6 + 3*x1^4 + x1^2*x3 + 3/2*x1^2',
+        '20*x1^14 - 16*x1^12 + 12*x1^10 - 283/36*x1^8 + 40/9*x1^6'
+        ' + 17/36*x1^4 + 1/6*x1^2 + x2^2',
+        '72*x1^14 - 24*x1^12 + 1/2*x1^8 + 11/6*x1^6 + 7/3*x1^4'
+        ' + x1^2*x2 + x1^2',
+        'x1^16 + 1/144*x1^10 + 1/36*x1^8 + 1/24*x1^6 + 1/36*x1^4 + 1/144*x1^2',
+    ]),
+    (3, 1, 'grevlex'): (207, [
+        'x1^4 + 1/2*x2^2*x3 + 1/4*x2^2 + 1/18*x3^3 - 1/36*x3^2',
+        'x1^2*x2^2 - 2/9*x3^3 + 1/9*x3^2',
+        'x1^2*x2*x3 + 1/3*x3^2',
+        '3/2*x1^2*x2 + x1^2*x3^2 - 1/2*x1^2*x3',
+        '-9/4*x2^2 + x3^4 - x3^3 + 1/4*x3^2',
+        '-2/3*x1^2 + x2^3 - 1/3*x2^2*x3',
+        '3/2*x2^2 + x2*x3^2 + 1/3*x3^3 - 1/6*x3^2',
+    ]),
+    (3, 1, 'weighted-lex'): (275, [
+        '18*x1^4 - 18*x1^2 + 27*x2^3 + 9/2*x2^2 + x3^3 - 1/2*x3^2',
+        '3/2*x1^2*x2 + x1^2*x3^2 - 1/2*x1^2*x3',
+        '-2/3*x1^2*x2 - 2/9*x1^2*x3 + 1/9*x1^2 + x2^4',
+        '-6*x1^4 + 6*x1^2 - 9*x2^3 + x2*x3^2',
+        'x1^4*x3 - 1/2*x1^4 - 1/2*x1^2',
+        'x1^2*x2*x3 + 1/3*x3^2',
+        '2*x1^2 - 3*x2^3 + x2^2*x3',
+        'x1^6 - 2*x1^4 + 2*x1^2 - 3*x2^3 - 1/4*x2^2 + 1/36*x3^2',
+        'x1^4*x2 + 1/3*x1^2*x3',
+        '4*x1^4 + x1^2*x2^2 - 4*x1^2 + 6*x2^3 + x2^2',
+    ]),
+    (3, 1, 'weighted-grevlex'): (204, [
+        'x2^4*x3 + 1/2*x2^4 - 1/6*x2^3*x3 + 2/9*x3^2',
+        'x2^5 + 1/6*x2^4 - 1/18*x2^3*x3 + 2/3*x2^2 + 4/9*x2*x3^2 + 2/27*x3^2',
+        '3/2*x2^3 + x2^2*x3^2 - 1/2*x2^2*x3',
+        'x1^2 - 3/2*x2^3 + 1/2*x2^2*x3',
+        '9/2*x2^2 + 3*x2*x3^2 + x3^3 - 1/2*x3^2',
+    ]),
+}
+
+
+class TestPinnedBases:
+    @pytest.mark.parametrize("n, seed, name", sorted(PINNED_BASES))
+    def test_basis_and_step_count(self, n, seed, name):
+        steps, want = PINNED_BASES[n, seed, name]
+        polys = seeded_ideal(seed, n)
+        order = pinned_orders(n)[name]
+        gb = buchberger(polys, order, max_reductions=steps)
+        assert [g.terms for g in gb] == \
+            [parse_polynomial(text, n).terms for text in want]
+        with pytest.raises(ResourceCapError):
+            buchberger(polys, order, max_reductions=steps - 1)
 
 
 class TestInitialIdeal:

@@ -64,12 +64,12 @@ class TestMultiplicitySequence:
 class TestHilbertTable:
     def test_maximal_ideal_closed_form(self):
         n = 2
-        table = hilbert_table(maximal_ideal(n), 1, 4)
+        table = hilbert_table(maximal_ideal(n), 1)
         for r, t, v in table.rows():
             assert v == comb(n + r + t - 1, n)
 
     def test_cusp_cells_match_explicit_products(self):
-        table = hilbert_table(CUSP, 0, 4)
+        table = hilbert_table(CUSP, 0)
         assert table.cell(0, 1) == 6
         assert table.cell(1, 1) == colength_of_product(CUSP, 1, 1) == 8
         for r, t, v in table.rows():
@@ -77,13 +77,9 @@ class TestHilbertTable:
                 continue
             assert v == colength_of_product(CUSP, t, r)
 
-    def test_window_too_small(self):
-        with pytest.raises(ValueError):
-            hilbert_table(CUSP, 1, 3)
-
     def test_non_isolated_rejected(self):
         with pytest.raises(NonIsolatedError):
-            hilbert_table(normalize_generators([(1, 1)], 2), 1, 4)
+            hilbert_table(normalize_generators([(1, 1)], 2), 1)
 
     def test_diagonal_and_general_paths_agree(self):
         from lctk import kernels
@@ -101,7 +97,7 @@ class TestHilbertTable:
         monkeypatch.setattr(kernels, "table_cell", lambda gens, r, n: 7)
         J = normalize_generators([(2, 0), (1, 1), (0, 3)], 2)
         with pytest.raises(InvariantError, match="not increasing in t"):
-            hilbert_table(J, 1, 4)
+            hilbert_table(J, 1)
 
 
 class TestMixedMultiplicities:
@@ -165,8 +161,7 @@ class TestMixedMultiplicities:
     def test_fit_reports_base_and_table(self):
         fit = fit_multiplicities(CUSP)
         assert fit.mults.e == (1, 2, 6)
-        assert fit.table.base == fit.base
-        assert fit.base == 3  # the maximal generator degree
+        assert fit.table.base == 3  # the maximal generator degree
 
     def test_unstable_fit_keeps_last_table(self, monkeypatch):
         from lctk import multiplicities
@@ -178,7 +173,7 @@ class TestMixedMultiplicities:
             fit_multiplicities(CUSP)
         table = info.value.table
         assert table.base == BASE_CAP
-        assert table == hilbert_table(CUSP, BASE_CAP, CUSP.n + 2)
+        assert table == hilbert_table(CUSP, BASE_CAP)
 
     @pytest.mark.skipif(BACKEND != "compiled",
                         reason="generic 4D counting is slow on the pure "
