@@ -181,6 +181,9 @@ def cmd_verify_random(args):
 
 
 def cmd_groebner_bound(args):
+    if args.max_steps < 0:
+        raise SchemaError(
+            f"--max-steps must be nonnegative, got {args.max_steps}")
     polys, order, orders = load_polynomial_ideal(args.input)
     if args.sweep:
         if orders is None:

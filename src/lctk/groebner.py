@@ -5,16 +5,22 @@ Degenerating a polynomial ideal to the monomial ideal of its leading terms
 can only lower the log canonical threshold, so the exact threshold of the
 initial ideal is a certified lower bound for the threshold of the input.
 
-``buchberger`` records each basis member's leading monomial once, when the
-member joins the basis, and queues its pairs on a heap.
+``buchberger`` stores each basis member once, when it joins the basis, as a
+primitive integer polynomial with its leading monomial, and queues its pairs
+on a heap.  One private reducer, ``_reduce``, makes every division step of
+``buchberger`` and ``normal_form``: it keeps the work terms on a heap keyed
+by the order, and instead of dividing by a leading coefficient it scales the
+work by an integer (fraction-free), so no rational number is made inside
+its loop.  ``s_polynomial`` shares buchberger's integer S-polynomial.  The
+basis becomes monic, with rational coefficients, only at the end.
 """
 
 import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
-from operator import sub
+from math import gcd, inf, lcm
+from operator import add, le, mul, sub
 
 from . import kernels
 from .errors import (
@@ -27,6 +33,10 @@ from .lattice import is_isolated_zero, normalize_generators
 
 #: Default cap on division steps inside one Buchberger run.
 MAX_REDUCTIONS = 100_000
+
+#: ``_reduce`` divides out the content of its coefficients once the
+#: multipliers since the last division exceed this many bits.
+_CONTENT_BITS = 64
 
 
 @dataclass
@@ -70,8 +80,11 @@ class MonomialOrder:
     indices from most to least significant (None: x1 > x2 > ..., in any
     number of variables); weighted orders carry positive per-variable
     weights plus a tiebreak kind.  Construction checks that the precedence
-    is a permutation of 1..len(precedence); ``key`` checks only that the
-    monomial's length matches the precedence and the weights.
+    is a permutation of 1..len(precedence) and reads each weight as an exact
+    rational (a float as the decimal it prints as), scaled once to integers,
+    so weighted keys are exact; ``weights`` keeps the values as given.
+    ``key`` checks only that the monomial's length matches the precedence
+    and the weights.
     """
 
     kind: str
@@ -86,6 +99,7 @@ class MonomialOrder:
         if p is not None and sorted(p) != list(range(1, len(p) + 1)):
             raise ValueError(
                 f"precedence {p} is not a permutation of 1..{len(p)}")
+        int_weights = None
         if self.kind == "weighted":
             if not self.weights or not all(
                     0 < w < inf for w in self.weights):
@@ -93,9 +107,14 @@ class MonomialOrder:
                     "weighted orders need positive finite weights")
             if self.tiebreak not in ("lex", "grevlex"):
                 raise ValueError(f"unknown tiebreak {self.tiebreak!r}")
+            exact = [Fraction(str(w)) if isinstance(w, float) else
+                     Fraction(w) for w in self.weights]
+            scale = lcm(*(w.denominator for w in exact))
+            int_weights = tuple(int(w * scale) for w in exact)
+        object.__setattr__(self, "_int_weights", int_weights)
 
-    def key(self, mono):
-        """Sort key: larger key means larger monomial."""
+    def _ranked(self, mono):
+        """(integer weight or None, exponents in precedence order)."""
         n = len(mono)
         p = self.precedence
         if p is None:
@@ -105,16 +124,33 @@ class MonomialOrder:
         else:
             raise ValueError(
                 f"precedence {p} is not a permutation of 1..{n}")
-        tiebreak = self.tiebreak if self.kind == "weighted" else self.kind
-        tie = v if tiebreak == "lex" else (
-            sum(mono), tuple(-e for e in reversed(v)))
-        if self.kind != "weighted":
-            return tie
-        if len(self.weights) != n:
+        w = self._int_weights
+        if w is None:
+            return None, v
+        if len(w) != n:
             raise ValueError(
-                f"weights {self.weights} have length {len(self.weights)}, "
+                f"weights {self.weights} have length {len(w)}, "
                 f"expected {n}")
-        return (sum(w * m for w, m in zip(self.weights, mono)), tie)
+        return sum(map(mul, w, mono)), v
+
+    def _grevlex_tie(self):
+        return (self.tiebreak if self.kind == "weighted"
+                else self.kind) == "grevlex"
+
+    def key(self, mono):
+        """Sort key: larger key means larger monomial."""
+        weight, v = self._ranked(mono)
+        tie = (sum(mono), tuple(-e for e in reversed(v))) \
+            if self._grevlex_tie() else v
+        return tie if weight is None else (weight, tie)
+
+    def _heap_key(self, mono):
+        """Flat tuple that sorts the other way round from ``key``: the
+        smallest heap key is the largest monomial."""
+        weight, v = self._ranked(mono)
+        flat = (-sum(mono),) + v[::-1] if self._grevlex_tie() else \
+            tuple(-e for e in v)
+        return flat if weight is None else (-weight,) + flat
 
 
 def default_order(n):
@@ -226,10 +262,6 @@ def leading_monomial(poly, order):
     return max(poly.terms, key=order.key)
 
 
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
 class _StepCounter:
     __slots__ = ("left",)
 
@@ -242,19 +274,132 @@ class _StepCounter:
             raise ResourceCapError("reduction step cap exceeded")
 
 
-def _subtract_shifted(work, g, lm, to, factor):
-    """In place, work -= factor * x^(to - lm) * g, where lm is the leading
-    monomial of g; the caller accounts for the lead term, at to."""
-    shift = tuple(map(sub, to, lm))
-    for gm, gc in g.terms.items():
-        if gm == lm:
+class _HeapKeys(dict):
+    """``order._heap_key`` memoized for one run."""
+
+    def __init__(self, order):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, mono):
+        key = self[mono] = self.order._heap_key(mono)
+        return key
+
+
+def _integer(terms):
+    """(ints, den): the (mono, coeff) pairs times the lcm den of their
+    denominators, as integers."""
+    den = lcm(*(c.denominator for _, c in terms))
+    return [(m, c.numerator * (den // c.denominator)) for m, c in terms], den
+
+
+def _primitive(terms, lm):
+    """The member (lm, lc, tail) of sum(c * x^m for m, c in terms), whose
+    leading monomial is lm: its integer multiple with coprime coefficients
+    and lc > 0, the other terms in tail as (mono, coeff) pairs."""
+    tail = dict(_integer(terms)[0])
+    lc = tail.pop(lm)
+    content = gcd(lc, *tail.values())
+    if lc < 0:
+        content = -content
+    return (lm, lc // content,
+            tuple((m, c // content) for m, c in tail.items()))
+
+
+def _member(poly, order):
+    return _primitive(poly.terms.items(), leading_monomial(poly, order))
+
+
+def _polynomial(n, terms, factor):
+    """The Polynomial sum(c * factor * x^m), or None for no terms."""
+    if not terms:
+        return None
+    return Polynomial(n, {m: c * factor for m, c in terms})
+
+
+def _reduce(work, members, keys, counter):
+    """Full division of the integer polynomial ``work`` (a dict, consumed)
+    by the (lm, lc, tail) members, fraction-free.
+
+    Each step takes the largest monomial of work, from a heap with lazy
+    deletion, and reduces it by the first member whose leading monomial
+    divides it, as the division with rational coefficients does; but it
+    first multiplies work and the remainder by lc / gcd(c, lc), so the
+    coefficients stay integers, and then divides out their common content.
+    Every state is a positive multiple of the rational one, so each step
+    makes the same choices.  Returns (remainder, num, den): remainder lists
+    (mono, coeff) by decreasing monomial, and times num / den it is the
+    rational remainder.
+    """
+    heap = [(keys[m], m) for m in work]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    rem = {}
+    num = den = grown = 1
+    while heap:
+        mono = pop(heap)[1]
+        c = work.pop(mono, 0)
+        if not c:
             continue
-        target = tuple(a + b for a, b in zip(gm, shift))
-        acc = work.get(target, Fraction(0)) - factor * gc
-        if acc == 0:
-            work.pop(target, None)
+        for lm, lc, tail in members:
+            if all(map(le, lm, mono)):
+                break
         else:
-            work[target] = acc
+            rem[mono] = c
+            continue
+        if counter is not None:
+            counter.spend()
+        d = gcd(c, lc)
+        if d != lc:
+            a = lc // d
+            den *= a
+            grown *= a
+            for m in work:
+                work[m] *= a
+            for m in rem:
+                rem[m] *= a
+        b = c // d
+        shift = tuple(map(sub, mono, lm))
+        for m, gc in tail:
+            m = tuple(map(add, m, shift))
+            v = work.get(m)
+            if v is None:
+                work[m] = -b * gc
+                push(heap, (keys[m], m))
+            else:
+                v -= b * gc
+                if v:
+                    work[m] = v
+                else:
+                    del work[m]
+        if grown >> _CONTENT_BITS:
+            grown = 1
+            content = gcd(*work.values(), *rem.values())
+            if content > 1:
+                num *= content
+                for m in work:
+                    work[m] //= content
+                for m in rem:
+                    rem[m] //= content
+    return list(rem.items()), num, den
+
+
+def _s_work(f, g):
+    """(work, den): the S-polynomial of two members is work / den."""
+    (lf, cf, tf), (lg, cg, tg) = f, g
+    top = tuple(map(max, lf, lg))
+    d = gcd(cf, cg)
+    work = {}
+    for lm, tail, factor in ((lf, tf, cg // d), (lg, tg, -(cf // d))):
+        shift = tuple(map(sub, top, lm))
+        for m, c in tail:
+            m = tuple(map(add, m, shift))
+            v = work.get(m, 0) + factor * c
+            if v:
+                work[m] = v
+            else:
+                work.pop(m, None)
+    return work, cf // d * cg
 
 
 def normal_form(poly, basis, order, counter=None):
@@ -263,90 +408,74 @@ def normal_form(poly, basis, order, counter=None):
     Deterministic: always reduces the currently largest monomial by the
     first divisor in basis order.  Returns None for a zero remainder.
     """
-    work = dict(poly.terms)
-    remainder = {}
-    lms = [(leading_monomial(g, order), g) for g in basis]
-    while work:
-        mono = max(work, key=order.key)
-        coeff = work.pop(mono)
-        for lm, g in lms:
-            if _divides(lm, mono):
-                if counter is not None:
-                    counter.spend()
-                _subtract_shifted(work, g, lm, mono, coeff / g.terms[lm])
-                break
-        else:
-            remainder[mono] = coeff
-    if not remainder:
-        return None
-    return Polynomial(poly.n, remainder)
-
-
-def _s_polynomial(f, lf, g, lg):
-    lcm = tuple(map(max, lf, lg))
-    terms = {}
-    _subtract_shifted(terms, f, lf, lcm, -1 / f.terms[lf])
-    _subtract_shifted(terms, g, lg, lcm, 1 / g.terms[lg])
-    return Polynomial(f.n, terms) if terms else None
+    work, scale = _integer(poly.terms.items())
+    rem, num, den = _reduce(dict(work), [_member(g, order) for g in basis],
+                            _HeapKeys(order), counter)
+    return _polynomial(poly.n, rem, Fraction(num, scale * den))
 
 
 def s_polynomial(f, g, order):
     """x^a f / lc(f) - x^b g / lc(g), the shifts taking both leading
     monomials to their lcm; None when it cancels to zero."""
-    return _s_polynomial(f, leading_monomial(f, order),
-                         g, leading_monomial(g, order))
+    work, den = _s_work(_member(f, order), _member(g, order))
+    return _polynomial(f.n, list(work.items()), Fraction(1, den))
 
 
 def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
     """Reduced Groebner basis: monic, pairwise fully reduced, deterministic.
 
-    Inputs and nonzero remainders join the basis monic.  Pair selection is
-    the normal strategy: a heap of (lcm total degree, i, j) pops the
-    smallest lcm degree, then insertion order; pairs with coprime leading
-    monomials reduce to zero and are never queued.  The first member for
-    each minimal leading monomial is kept, its tail reduced by the others;
-    the result lists them by decreasing leading monomial.
+    Each input and each nonzero remainder joins the basis once, as a
+    primitive integer member (lm, lc, tail); S-polynomials are reduced
+    fraction-free by ``_reduce``, and members become monic rational
+    polynomials only at the end.  Pair selection is the normal strategy: a
+    heap of (lcm total degree, i, j) pops the smallest lcm degree, then
+    insertion order; pairs with coprime leading monomials reduce to zero and
+    are never queued.  The first member for each minimal leading monomial is
+    kept, its tail reduced by the others; the result lists them by
+    decreasing leading monomial.  A negative max_reductions is an error.
     """
     if not polys:
         raise ValueError("need at least one polynomial")
+    if max_reductions < 0:
+        raise ValueError(
+            f"max_reductions must be nonnegative, got {max_reductions}")
     n = polys[0].n
     if any(p.n != n for p in polys):
         raise ValueError("polynomials live in different rings")
     counter = _StepCounter(max_reductions)
-    basis, lms, pairs = [], [], []
+    keys = _HeapKeys(order)
+    basis, pairs = [], []
 
-    def add(poly):
-        lm = leading_monomial(poly, order)
-        lc = poly.terms[lm]
-        if lc != 1:
-            poly = Polynomial(n, {m: c / lc for m, c in poly.terms.items()})
-        for i, other in enumerate(lms):
-            if any(map(min, other, lm)):
+    def add(member):
+        lm = member[0]
+        for i, other in enumerate(basis):
+            if any(map(min, other[0], lm)):
                 heapq.heappush(pairs,
-                               (sum(map(max, other, lm)), i, len(basis)))
-        basis.append(poly)
-        lms.append(lm)
+                               (sum(map(max, other[0], lm)), i, len(basis)))
+        basis.append(member)
 
     for p in polys:
-        add(p)
+        add(_member(p, order))
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        s = _s_polynomial(basis[i], lms[i], basis[j], lms[j])
-        if s is not None:
-            rem = normal_form(s, basis, order, counter)
-            if rem is not None:
-                add(rem)
-    minimal = set(kernels.minimalize(lms, n))
+        rem = _reduce(_s_work(basis[i], basis[j])[0], basis, keys,
+                      counter)[0]
+        if rem:
+            add(_primitive(rem, rem[0][0]))
+    minimal = set(kernels.minimalize([g[0] for g in basis], n))
     kept = {}
-    for lm, g in zip(lms, basis):
-        if lm in minimal:
-            kept.setdefault(lm, g)
+    for g in basis:
+        if g[0] in minimal:
+            kept.setdefault(g[0], g)
     out = {}
-    for lm, g in kept.items():
-        others = [h for h in kept.values() if h is not g]
-        # the monic lead survives (leading monomials form an antichain),
-        # so this only rewrites the tail
-        out[lm] = normal_form(g, others, order, counter) if others else g
+    for lm, (_, lc, tail) in kept.items():
+        others = [h for h in kept.values() if h[0] != lm]
+        terms = [(lm, lc), *tail]
+        if others:
+            # the lead survives (leading monomials form an antichain), so
+            # this only rewrites the tail
+            terms = _reduce(dict(terms), others, keys, counter)[0]
+        out[lm] = _polynomial(n, terms, Fraction(1, terms[0][1]))
     return [out[lm] for lm in sorted(out, key=order.key, reverse=True)]
 
 

@@ -44,6 +44,100 @@ def brute_power_gens(gens, t, n):
     return out
 
 
+def ref_leading(terms, order):
+    return max(terms, key=order.key)
+
+
+def ref_reduce(terms, basis, order):
+    """Full division remainder of a term dict by a list of term dicts, with
+    rational coefficients: repeatedly take the largest monomial by a rescan
+    and subtract a multiple of the first basis member whose leading monomial
+    divides it.  Returns (remainder term dict, division steps)."""
+    work, rem, steps = dict(terms), {}, 0
+    while work:
+        mono = max(work, key=order.key)
+        coeff = work.pop(mono)
+        for g in basis:
+            lm = ref_leading(g, order)
+            if all(a <= b for a, b in zip(lm, mono)):
+                steps += 1
+                factor = coeff / g[lm]
+                for gm, gc in g.items():
+                    if gm != lm:
+                        t = tuple(a + b - c for a, b, c in zip(gm, mono, lm))
+                        v = work.get(t, 0) - factor * gc
+                        if v:
+                            work[t] = v
+                        else:
+                            work.pop(t, None)
+                break
+        else:
+            rem[mono] = coeff
+    return rem, steps
+
+
+def ref_s_polynomial(f, g, order):
+    """x^a f / lc(f) - x^b g / lc(g) for term dicts, the shifts taking both
+    leading monomials to their lcm."""
+    lcm = tuple(map(max, ref_leading(f, order), ref_leading(g, order)))
+    out = {}
+    for p, sign in ((f, 1), (g, -1)):
+        lm = ref_leading(p, order)
+        for m, c in p.items():
+            t = tuple(a + b - e for a, b, e in zip(m, lcm, lm))
+            v = out.get(t, 0) + sign * c / p[lm]
+            if v:
+                out[t] = v
+            else:
+                out.pop(t, None)
+    return out
+
+
+def ref_buchberger(polys, order):
+    """Reduced Groebner basis of term dicts by textbook Buchberger, with
+    rational coefficients.  Members join monic; pairs are taken by smallest
+    lcm total degree, then insertion order, skipping coprime leading
+    monomials; the first member for each minimal leading monomial is kept
+    and its tail reduced by the other kept members.  Returns (basis by
+    decreasing leading monomial, division steps)."""
+    basis, pairs, steps = [], [], 0
+
+    def add(terms):
+        lm = ref_leading(terms, order)
+        for i, g in enumerate(basis):
+            lg = ref_leading(g, order)
+            if any(min(a, b) for a, b in zip(lg, lm)):
+                pairs.append((sum(map(max, lg, lm)), i, len(basis)))
+        basis.append({m: c / terms[lm] for m, c in terms.items()})
+
+    for p in polys:
+        add(p.terms)
+    while pairs:
+        pair = min(pairs)
+        pairs.remove(pair)
+        _, i, j = pair
+        s = ref_s_polynomial(basis[i], basis[j], order)
+        if s:
+            rem, k = ref_reduce(s, basis, order)
+            steps += k
+            if rem:
+                add(rem)
+    lms = [ref_leading(g, order) for g in basis]
+    kept = {}
+    for lm, g in zip(lms, basis):
+        if not any(o != lm and all(a <= b for a, b in zip(o, lm))
+                   for o in lms):
+            kept.setdefault(lm, g)
+    out = []
+    for lm, g in kept.items():
+        rem, k = ref_reduce(g, [h for o, h in kept.items() if o != lm],
+                            order)
+        steps += k
+        out.append(rem)
+    out.sort(key=lambda g: order.key(ref_leading(g, order)), reverse=True)
+    return out, steps
+
+
 @pytest.fixture(params=["python", "compiled"])
 def kernel_lane(request):
     """Both kernel implementations, skipping compiled when unavailable."""

@@ -223,6 +223,19 @@ class TestInputContract:
         assert code == 2
         assert err.startswith("input error:")
 
+    @pytest.mark.parametrize("polys", [["x1^2 + x2^3"],
+                                       ["x1^2 - x2", "x1*x2 - x1"]])
+    @pytest.mark.parametrize("extra", [[], ["--sweep"]])
+    def test_negative_max_steps(self, tmp_path, capsys, polys, extra):
+        path = write(tmp_path, "in.json", {"n": 2, "polynomials": polys})
+        code, out, err = run(capsys, ["--max-steps=-3", "groebner-bound",
+                                      path] + extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:")
+        code, _, _ = run(capsys, ["--max-steps=0", "groebner-bound",
+                                  path] + extra)
+        assert code == (0 if len(polys) == 1 else 5)
+
 
 class TestVerifyRandom:
     def test_small_sweep_passes(self, tmp_path, capsys):

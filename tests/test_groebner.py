@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from conftest import ref_buchberger, ref_reduce, ref_s_polynomial
 
 from lctk import (
     MonomialOrder,
@@ -18,6 +19,7 @@ from lctk import (
     parse_polynomial,
 )
 from lctk.groebner import Polynomial, normal_form, s_polynomial
+from lctk.serialize import order_to_dict
 from lctk.report import random_isolated_ideal
 
 LEX12 = MonomialOrder("lex", precedence=(1, 2))
@@ -106,6 +108,24 @@ class TestOrders:
         with pytest.raises(ValueError, match="positive finite weights"):
             MonomialOrder("weighted", weights=(weight, 1))
 
+    def test_float_weights_are_exact_and_multiplicative(self):
+        order = MonomialOrder("weighted", weights=(0.1, 0.2, 0.3))
+        assert order.weights == (0.1, 0.2, 0.3)
+        assert order_to_dict(order)["weights"] == [0.1, 0.2, 0.3]
+        # 0.1 + 0.2 != 0.3 in floats; read exactly, x3 and x1*x2 weigh the
+        # same and the grevlex tiebreak puts x1*x2 first, also after x2^3
+        assert order.key((0, 0, 1)) < order.key((1, 1, 0))
+        assert order.key((0, 3, 1)) < order.key((1, 4, 0))
+        key = {m: order.key(m) for m in product(range(7), repeat=3)}
+        grid = list(product(range(4), repeat=3))
+        for a, b in combinations(grid, 2):
+            if key[a] > key[b]:
+                a, b = b, a
+            for c in grid:
+                ac = tuple(x + y for x, y in zip(a, c))
+                bc = tuple(x + y for x, y in zip(b, c))
+                assert key[ac] < key[bc], (a, b, c)
+
     @pytest.mark.parametrize("weights", [(1,), (1, 5, 7)])
     def test_weighted_length_must_match(self, weights):
         order = MonomialOrder("weighted", weights=weights)
@@ -158,6 +178,16 @@ class TestBuchberger:
                  parse_polynomial("x2^3 - x1", 2)]
         with pytest.raises(ResourceCapError):
             buchberger(polys, LEX12, max_reductions=1)
+
+    def test_negative_cap_rejected(self):
+        polys = [parse_polynomial("x1^2 + x2^3", 2)]
+        for call in (buchberger, certified_lct_lower_bound):
+            with pytest.raises(ValueError, match="nonnegative"):
+                call(polys, LEX12, max_reductions=-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            order_sweep(polys, [LEX12, LEX21], max_reductions=-1)
+        # zero is a legal cap: a principal ideal needs no reduction
+        assert len(buchberger(polys, LEX12, max_reductions=0)) == 1
 
 
 def seeded_ideal(seed, n):
@@ -265,6 +295,122 @@ class TestPinnedBases:
             [parse_polynomial(text, n).terms for text in want]
         with pytest.raises(ResourceCapError):
             buchberger(polys, order, max_reductions=steps - 1)
+
+
+def shaped_ideal(seed, n):
+    """The groebner benchmark's input shape: x_i^k, k = 2 or 3, plus 1-3
+    terms of higher total degree with exponents at most 5 - n and
+    coefficients +-1..3, for i = 1..n."""
+    rng = random.Random(seed)
+    polys = []
+    for i in range(n):
+        k = rng.choice((2, 3))
+        higher = [m for m in product(range(6 - n), repeat=n) if sum(m) > k]
+        terms = {tuple(k * (j == i) for j in range(n)): F(1)}
+        for m in rng.sample(higher, rng.randint(1, 3)):
+            terms[m] = F(rng.choice((-1, 1)) * rng.randint(1, 3))
+        polys.append(Polynomial(n, terms))
+    return polys
+
+
+def oracle_orders(n):
+    rev = tuple(range(n, 0, -1))
+    return {
+        "lex": MonomialOrder("lex", precedence=rev),
+        "grevlex": default_order(n),
+        "weighted-lex": MonomialOrder(
+            "weighted", weights=(0.1, 0.2, 0.3)[:n], tiebreak="lex"),
+        "weighted-grevlex": MonomialOrder(
+            "weighted", precedence=rev, weights=(2,) + (1,) * (n - 1)),
+    }
+
+
+def random_poly(rng, n, terms, big):
+    """Random non-monic polynomial with exponents at most 3; big draws
+    numerators and denominators of about 40 digits."""
+    out = {}
+    for m in rng.sample(list(product(range(4), repeat=n)), terms):
+        if big:
+            c = F(rng.randint(1, 10**40), rng.randint(1, 10**40))
+        else:
+            c = F(rng.randint(1, 9), rng.randint(1, 9))
+        out[m] = c * rng.choice((-1, 1))
+    return Polynomial(n, out)
+
+
+def as_polynomial(n, terms):
+    return Polynomial(n, terms) if terms else None
+
+
+class TestAgainstReference:
+    """buchberger, normal_form and s_polynomial against the rational
+    textbook reference in conftest.py."""
+
+    @pytest.mark.parametrize("n, seed, name", [
+        (2, seed, name) for seed in range(6) for name in oracle_orders(2)
+    ] + [(3, 7, name) for name in oracle_orders(3)])
+    def test_basis_and_step_count(self, n, seed, name):
+        polys = shaped_ideal(seed, n)
+        order = oracle_orders(n)[name]
+        want, steps = ref_buchberger(polys, order)
+        gb = buchberger(polys, order, max_reductions=steps)
+        assert [g.terms for g in gb] == want
+        if steps:
+            with pytest.raises(ResourceCapError):
+                buchberger(polys, order, max_reductions=steps - 1)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("big", [False, True])
+    def test_normal_form_is_exact(self, n, big):
+        rng = random.Random(n + 10 * big)
+        for order in oracle_orders(n).values():
+            for _ in range(8):
+                basis = [random_poly(rng, n, rng.randint(1, 3), big)
+                         for _ in range(rng.randint(1, 3))]
+                poly = random_poly(rng, n, rng.randint(1, 6), big)
+                want, _ = ref_reduce(poly.terms, [g.terms for g in basis],
+                                     order)
+                assert normal_form(poly, basis, order) == \
+                    as_polynomial(n, want)
+
+    def test_large_coefficients(self):
+        order = default_order(2)
+        f = Polynomial(2, {(2, 0): F(10**40, 7), (0, 1): F(-3, 10**40)})
+        g = Polynomial(2, {(1, 1): F(-7, 3), (0, 2): F(10**40 + 1, 7)})
+        poly = Polynomial(2, {(3, 2): F(1, 7), (2, 1): F(10**40, 3),
+                              (0, 1): F(5)})
+        want, _ = ref_reduce(poly.terms, [f.terms, g.terms], order)
+        assert normal_form(poly, [f, g], order) == Polynomial(2, want)
+        assert s_polynomial(f, g, order) == \
+            Polynomial(2, ref_s_polynomial(f.terms, g.terms, order))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_s_polynomial_is_exact(self, n):
+        rng = random.Random(n)
+        for order in oracle_orders(n).values():
+            for _ in range(8):
+                f, g = (random_poly(rng, n, rng.randint(1, 4), True)
+                        for _ in range(2))
+                assert s_polynomial(f, g, order) == as_polynomial(
+                    n, ref_s_polynomial(f.terms, g.terms, order))
+
+    def test_zero_remainders(self):
+        order = LEX12
+        polys = [parse_polynomial("7*x1^2 - 3*x2", 2),
+                 parse_polynomial("5/3*x2^2 - x1", 2)]
+        gb = buchberger(polys, order)
+        f, g = polys
+        big = F(10**40, 7)
+        combo = {}
+        for p, c, shift in ((f, big, (1, 2)), (g, F(-3, 11), (0, 1))):
+            for m, v in p.terms.items():
+                t = (m[0] + shift[0], m[1] + shift[1])
+                combo[t] = combo.get(t, 0) + c * v
+        poly = Polynomial(2, {m: v for m, v in combo.items() if v})
+        assert ref_reduce(poly.terms, [h.terms for h in gb], order)[0] == {}
+        assert normal_form(poly, gb, order) is None
+        scaled = Polynomial(2, {m: big * v for m, v in f.terms.items()})
+        assert s_polynomial(f, scaled, order) is None
 
 
 class TestInitialIdeal:
