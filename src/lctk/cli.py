@@ -60,6 +60,14 @@ def _say(message):
     print(message, file=sys.stderr)
 
 
+def _config(cls, **fields):
+    """cls(**fields); a field the config rejects is an input error."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
 def cmd_lct(args):
     ideal = load_ideal(args.input)
     cert = kiselman_lct(ideal)
@@ -136,8 +144,8 @@ def cmd_bounds(args):
 
 
 def cmd_verify_random(args):
-    config = RunConfig(seed=args.seed, dim=args.dim,
-                       max_degree=args.max_degree, count=args.count)
+    config = _config(RunConfig, seed=args.seed, dim=args.dim,
+                     max_degree=args.max_degree, count=args.count)
     summary = run_random_sweep(config, keep_items=args.csv is not None)
     payload = {
         "config": {
@@ -217,7 +225,8 @@ def cmd_probe(args):
     c = parse_frac(args.c)
     if c <= 0:
         raise SchemaError(f"c must be positive, got {frac_str(c)}")
-    config = ProbeConfig(grid=args.probe_grid, theta=args.probe_tolerance)
+    config = _config(ProbeConfig, grid=args.probe_grid,
+                     theta=args.probe_tolerance)
     result = numeric_integrability_probe(ideal, c, config)
     cert = kiselman_lct(ideal)
     payload = {

@@ -6,6 +6,8 @@ its own inputs.  For ``count_cut_complement`` the dimension must be at most
 4, and the guard is one exact check per call, linear in the number of
 terms: the largest coordinate, and the product of the per-axis covers read
 off the pure-axis terms, bound every count the compiled kernel can form.
+Both bounds only grow with the degree cuts, so ``table_column`` guards a
+whole column of colength-table cells once, at its largest cut.
 ``LCTK_PURE_PYTHON=1`` forces the fallback lane.  Both lanes are
 behaviourally identical; see tests/test_kernels.py for the parity suite and
 benchmarks/bench_kernels.py for the speed-ups.
@@ -95,9 +97,19 @@ def count_cut_complement(terms, n):
     return _py.count_cut_complement(terms, n)
 
 
-def table_cell(power_gens_list, r, n):
-    return count_cut_complement(
-        [(g, sum(g) + r) for g in power_gens_list], n)
+def table_column(power_gens, rs, n):
+    """Colengths of m^r * J^t for each r in rs, J^t given by its minimal
+    generators: counts of the cut family (g, |g| + r).
+
+    The guard's coordinate and cover bounds only grow with r, so one
+    guard at the largest r picks the lane of the whole column.
+    """
+    degrees = [(g, sum(g)) for g in power_gens]
+    top = max(rs)
+    lane = _compiled if _compiled_ok_terms(
+        [(g, s + top) for g, s in degrees], n) else _py
+    return [lane.count_cut_complement([(g, s + r) for g, s in degrees], n)
+            for r in rs]
 
 
 def diagonal_cell(a, r, t):

@@ -133,7 +133,7 @@ def colength(ideal):
         return 0
     if not is_isolated_zero(ideal):
         raise NonIsolatedError(f"infinite colength: {ideal}")
-    return kernels.table_cell(ideal.generators, 0, ideal.n)
+    return kernels.table_column(ideal.generators, [0], ideal.n)[0]
 
 
 def _degree_compositions(total, n):
@@ -194,10 +194,8 @@ def newton_membership(ideal, point):
     rows = []
     rhs = []
     for i in range(n):
-        row = [Fraction(g[i]) for g in gens] + [
-            Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        rows.append(row)
+        rows.append([g[i] for g in gens] + [int(j == i) for j in range(n)])
         rhs.append(q[i])
-    rows.append([Fraction(1)] * k + [Fraction(0)] * n)
-    rhs.append(Fraction(1))
+    rows.append([1] * k + [0] * n)
+    rhs.append(1)
     return feasible(rows, rhs)

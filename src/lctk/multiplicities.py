@@ -97,24 +97,23 @@ def hilbert_table(ideal, base):
         raise NonIsolatedError(f"no isolated zero: {ideal}")
     n = ideal.n
     window = n + 2
-    values = []
+    span = range(base, base + window + 1)
     if is_diagonal(ideal):
         a = tuple(sorted(diagonal_weights_of(ideal)))
-        for r in range(base, base + window + 1):
-            values.append(tuple(kernels.diagonal_cell(a, r, t)
-                                for t in range(base, base + window + 1)))
+        values = [tuple(kernels.diagonal_cell(a, r, t) for t in span)
+                  for r in span]
     else:
         powers = {}
         gens_t = kernels.power_minimal(
             ideal.generators, base, n, MAX_TOTAL_DEGREE)
         powers[base] = gens_t
-        for t in range(base + 1, base + window + 1):
+        for t in span[1:]:
             gens_t = kernels.product_minimal(
                 gens_t, ideal.generators, n, MAX_TOTAL_DEGREE)
             powers[t] = gens_t
-        for r in range(base, base + window + 1):
-            values.append(tuple(kernels.table_cell(powers[t], r, n)
-                                for t in range(base, base + window + 1)))
+        # one column per t, every r of the window at once
+        values = list(zip(*(kernels.table_column(powers[t], span, n)
+                            for t in span)))
     table = HilbertTable(n=n, base=base, window=window,
                          values=tuple(values))
     _check_strictly_increasing(table)

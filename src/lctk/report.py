@@ -108,8 +108,9 @@ class RunConfig:
     count: int = 100
 
     def __post_init__(self):
-        if self.dim < 1 or self.count < 1:
-            raise ValueError("dim and count must be >= 1")
+        if self.dim < 1 or self.count < 1 or self.max_degree < 1:
+            raise ValueError("dim, count and max_degree must be >= 1, got "
+                             f"{self.dim}, {self.count}, {self.max_degree}")
 
 
 def random_isolated_ideal(rng, dim, max_degree):

@@ -109,15 +109,14 @@ def kiselman_lct(ideal):
     rows = []
     rhs = []
     for idx, g in enumerate(gens):
-        slack = [_ZERO] * k
-        slack[idx] = -_ONE
-        rows.append([Fraction(g[j]) for j in range(n)] + [-_ONE] + slack)
-        rhs.append(_ZERO)
-    rows.append([_ONE] * n + [_ZERO] * (k + 1))
-    rhs.append(_ONE)
-    cost = [_ZERO] * n + [-_ONE] + [_ZERO] * k
-    unit = [[_ONE if j == axis else _ZERO for j in range(n + k + 1)]
-            for axis in range(n)]
+        slack = [0] * k
+        slack[idx] = -1
+        rows.append(list(g) + [-1] + slack)
+        rhs.append(0)
+    rows.append([1] * n + [0] * (k + 1))
+    rhs.append(1)
+    cost = [0] * n + [-1] + [0] * k
+    unit = [[int(j == axis) for j in range(n + k + 1)] for axis in range(n)]
     res = _solve_optimal("Kiselman LP", rows, rhs, cost, *unit)
     s_star = res.x[n]
     if s_star == 0:
@@ -144,13 +143,13 @@ def howald_lct(ideal):
     rows = []
     rhs = []
     for i in range(n):
-        slack = [_ZERO] * n
-        slack[i] = _ONE
-        rows.append([Fraction(g[i]) for g in gens] + [-_ONE] + slack)
-        rhs.append(_ZERO)
-    rows.append([_ONE] * k + [_ZERO] * (n + 1))
-    rhs.append(_ONE)
-    cost = [_ZERO] * k + [_ONE] + [_ZERO] * n
+        slack = [0] * n
+        slack[i] = 1
+        rows.append([g[i] for g in gens] + [-1] + slack)
+        rhs.append(0)
+    rows.append([1] * k + [0] * (n + 1))
+    rhs.append(1)
+    cost = [0] * k + [1] + [0] * n
     res = _solve_optimal("Howald LP", rows, rhs, cost)
     y_star = res.objective
     return _ONE / y_star
@@ -196,6 +195,13 @@ class ProbeConfig:
     grid: int = 128               # quadrature points per axis
     theta: float = 0.05           # ratio tolerance
     max_points: int = 1 << 24     # resource cap on grid size
+
+    def __post_init__(self):
+        if self.grid < 2:
+            raise ValueError(f"probe grid must be >= 2, got {self.grid}")
+        if not self.theta >= 0:
+            raise ValueError(
+                f"probe tolerance must be >= 0, got {self.theta}")
 
 
 @dataclass(frozen=True)

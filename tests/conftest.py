@@ -4,6 +4,7 @@ These deliberately re-derive everything by direct enumeration so the fast
 paths are checked against something independent of them.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -136,6 +137,90 @@ def ref_buchberger(polys, order):
         out.append(rem)
     out.sort(key=lambda g: order.key(ref_leading(g, order)), reverse=True)
     return out, steps
+
+
+def ref_pivot(tableau, basis, row, col):
+    piv = tableau[row][col]
+    inv = 1 / piv
+    tableau[row] = [v * inv for v in tableau[row]]
+    for i, r in enumerate(tableau):
+        if i != row and r[col] != 0:
+            f = r[col]
+            prow = tableau[row]
+            tableau[i] = [rv - f * pv for rv, pv in zip(r, prow)]
+    basis[row] = col
+
+
+def _ref_bland(tableau, basis, cost):
+    m = len(tableau)
+    width = len(cost)
+    while True:
+        zrow = list(cost)
+        for i in range(m):
+            cb = cost[basis[i]]
+            if cb != 0:
+                for j in range(width):
+                    zrow[j] -= cb * tableau[i][j]
+        enter = next((j for j in range(width) if zrow[j] < 0), -1)
+        if enter < 0:
+            return zrow
+        leave, best = -1, None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave < 0:
+            return None
+        ref_pivot(tableau, basis, leave, enter)
+
+
+def ref_solve_min(rows, rhs, cost, *tiebreaks):
+    """Two-phase Bland simplex on a dense Fraction tableau: Fraction
+    division in every pivot, the textbook form of lctk.simplex.solve_min.
+    Returns (status, x, objective), x and objective None unless optimal;
+    each pivot goes through ref_pivot(tableau, basis, row, col)."""
+    m, n = len(rows), len(cost)
+    cost = [Fraction(c) for c in cost]
+    tableau = []
+    for i in range(m):
+        row = [Fraction(v) for v in rows[i]]
+        b = Fraction(rhs[i])
+        if b < 0:
+            row, b = [-v for v in row], -b
+        tableau.append(row + [Fraction(int(k == i)) for k in range(m)] + [b])
+    basis = [n + i for i in range(m)]
+    _ref_bland(tableau, basis, [Fraction(0)] * n + [Fraction(1)] * m)
+    if sum(tableau[i][-1] for i in range(m) if basis[i] >= n) != 0:
+        return "infeasible", None, None
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if col is not None:
+                ref_pivot(tableau, basis, i, col)
+    keep = [i for i in range(m) if basis[i] < n]
+    tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    cols = list(range(n))
+    zrow = _ref_bland(tableau, basis, cost)
+    for tiebreak in tiebreaks:
+        if zrow is None:
+            break
+        keep = [j for j, v in enumerate(zrow) if v == 0]
+        at = {j: k for k, j in enumerate(keep)}
+        tableau = [[row[j] for j in keep] + [row[-1]] for row in tableau]
+        basis = [at[b] for b in basis]
+        cols = [cols[j] for j in keep]
+        zrow = _ref_bland(tableau, basis,
+                          [Fraction(tiebreak[j]) for j in cols])
+    if zrow is None:
+        return "unbounded", None, None
+    x = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        x[cols[b]] = tableau[i][-1]
+    return "optimal", x, sum((c * v for c, v in zip(cost, x)), Fraction(0))
 
 
 @pytest.fixture(params=["python", "compiled"])

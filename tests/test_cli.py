@@ -223,6 +223,22 @@ class TestInputContract:
         assert code == 2
         assert err.startswith("input error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["--probe-grid", "1", "probe", "{path}", "1/2"],
+        ["--probe-grid", "0", "probe", "{path}", "1/2"],
+        ["--probe-grid", "-3", "probe", "{path}", "1/2"],
+        ["--probe-tolerance", "-0.5", "probe", "{path}", "1/2"],
+        ["--probe-tolerance", "nan", "probe", "{path}", "1/2"],
+        ["verify-random", "--count", "0"],
+        ["verify-random", "--dim", "0"],
+        ["verify-random", "--max-degree", "0"],
+    ])
+    def test_config_exit_2(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "in.json", CUSP)
+        code, out, err = run(capsys, [a.format(path=path) for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:")
+
     @pytest.mark.parametrize("polys", [["x1^2 + x2^3"],
                                        ["x1^2 - x2", "x1*x2 - x1"]])
     @pytest.mark.parametrize("extra", [[], ["--sweep"]])

@@ -234,6 +234,60 @@ class TestGuard:
             [axis_term(4, axis, 2, 2) for axis in range(4)], 4)
 
 
+class TestTableColumn:
+    """One guard per table column, taken at the column's largest r."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cut_families(), st.sampled_from([0, 1, 2, 7, kernels._MAX_COORD]))
+    def test_guard_holds_at_smaller_m(self, family, delta):
+        terms, n = family
+        raised = [(mu, m + delta) for mu, m in terms]
+        with mock.patch.object(kernels, "_compiled", object()):
+            if kernels._compiled_ok_terms(raised, n):
+                assert kernels._compiled_ok_terms(terms, n)
+
+    def test_matches_per_cell_python_counts(self):
+        from lctk import _staircase_py as py
+        from lctk.report import random_isolated_ideal
+
+        rng = random.Random(41)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            ideal = random_isolated_ideal(rng, n, [9, 5, 3, 2][n - 1])
+            if ideal.is_unit:
+                continue
+            for t in (1, 2, 3):
+                power = kernels.power_minimal(ideal.generators, t, n, 512)
+                rs = range(t, t + n + 3)
+                assert kernels.table_column(power, rs, n) == [
+                    py.count_cut_complement(
+                        [(g, sum(g) + r) for g in power], n) for r in rs]
+
+    def test_column_takes_one_lane(self, monkeypatch):
+        from lctk import _staircase_py as py
+
+        calls = []
+
+        def lane(name):
+            def count(terms, n):
+                calls.append(name)
+                return py.count_cut_complement(terms, n)
+            return mock.Mock(count_cut_complement=count)
+
+        power = kernels.power_minimal([(2, 0), (1, 1), (0, 3)], 2, 2, 512)
+        want = [py.count_cut_complement([(g, sum(g) + r) for g in power], 2)
+                for r in range(6)]
+        monkeypatch.setattr(kernels, "_compiled", lane("compiled"))
+        monkeypatch.setattr(kernels, "_py", lane("python"))
+        # the degrees of J^2 reach 6: at r = 5 a term crosses the limit
+        monkeypatch.setattr(kernels, "_MAX_COORD", 10)
+        assert kernels.table_column(power, range(5), 2) == want[:5]
+        assert calls == ["compiled"] * 5
+        calls.clear()
+        assert kernels.table_column(power, range(6), 2) == want
+        assert calls == ["python"] * 6
+
+
 #: sha256 of the Cython source and of the C file generated from it.  The
 #: compiled lane is built from the shipped C, so a change to either file
 #: must regenerate the C with Cython and update both pins together.

@@ -87,14 +87,14 @@ class TestHilbertTable:
         diag = diagonal_ideal((2, 4))
         for t in range(2, 5):
             power = kernels.power_minimal(diag.generators, t, 2, 512)
-            for r in range(2, 5):
-                assert kernels.table_cell(power, r, 2) == \
-                    kernels.diagonal_cell((2, 4), r, t)
+            assert kernels.table_column(power, range(2, 5), 2) == [
+                kernels.diagonal_cell((2, 4), r, t) for r in range(2, 5)]
 
     def test_non_increasing_table_is_invariant_error(self, monkeypatch):
         from lctk import InvariantError, kernels
 
-        monkeypatch.setattr(kernels, "table_cell", lambda gens, r, n: 7)
+        monkeypatch.setattr(kernels, "table_column",
+                            lambda gens, rs, n: [7] * len(rs))
         J = normalize_generators([(2, 0), (1, 1), (0, 3)], 2)
         with pytest.raises(InvariantError, match="not increasing in t"):
             hilbert_table(J, 1)
