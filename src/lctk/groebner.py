@@ -58,19 +58,6 @@ class Polynomial:
     def constant_term(self):
         return self.terms.get((0,) * self.n, Fraction(0))
 
-    def __str__(self):
-        bits = []
-        for mono in sorted(self.terms, reverse=True):
-            c = self.terms[mono]
-            var = "*".join(f"x{i+1}^{e}" if e > 1 else f"x{i+1}"
-                           for i, e in enumerate(mono) if e)
-            if var:
-                lead = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                bits.append(f"{lead}{var}")
-            else:
-                bits.append(str(c))
-        return " + ".join(bits).replace("+ -", "- ")
-
 
 @dataclass(frozen=True)
 class MonomialOrder:

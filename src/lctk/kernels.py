@@ -10,7 +10,8 @@ Both bounds only grow with the degree cuts, so ``table_column`` guards a
 whole column of colength-table cells once, at its largest cut.
 ``LCTK_PURE_PYTHON=1`` forces the fallback lane.  Both lanes are
 behaviourally identical; see tests/test_kernels.py for the parity suite and
-benchmarks/bench_kernels.py for the speed-ups.
+``python3 perfbench/run.py --trace 1`` (``kernels.speedup.*``) for the
+speed-ups.
 """
 
 import os

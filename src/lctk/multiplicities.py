@@ -1,10 +1,11 @@
 """Intermediate multiplicity sequences of isolated-zero monomial ideals.
 
 Mixed multiplicities of monomial ideals are mixed covolumes, so e_0..e_n
-come exactly from n! covol(P(m) + k P(J)) at k = 0..n.  The covolume
-oracle computes n! covol(P(I)) for every n: double description finds the
-compact facets of the Newton polyhedron, and a pulling triangulation of
-each one sums integer determinants.  The bivariate colength table
+come exactly from n! covol(P(m) + k P(J)) at k = 0..n.  Double
+description finds the compact facets of a Newton polyhedron, and a
+pulling triangulation of each one sums integer determinants; P(m) + k P(J)
+has one normal fan for every k > 0, so one double description and one
+triangulation per ideal serve every k.  The bivariate colength table
 L(r, t) = colength(m^r * J^t) certifies the sequence: past a finite base
 it agrees with a polynomial of total degree n, and the mixed finite
 difference of order (n-j, j) is then constantly e_j.  Generic slices of
@@ -24,11 +25,9 @@ from .errors import (
 )
 from .lattice import (
     MAX_TOTAL_DEGREE,
-    colength,
     diagonal_weights_of,
     is_diagonal,
     is_isolated_zero,
-    normalize_generators,
 )
 
 #: Hilbert fitting retries doubling the base up to this bound.
@@ -91,6 +90,8 @@ def hilbert_table(ideal, base):
     the complement of the implicit cut family built from minimal generators
     of J^t, so the product ideal itself is never materialized.
     """
+    if base < 0:
+        raise ValueError(f"table base must be >= 0, got {base}")
     if ideal.is_unit:
         raise UnitIdealError("colength table undefined for the unit ideal")
     if not is_isolated_zero(ideal):
@@ -190,14 +191,14 @@ def mixed_multiplicities(ideal):
 
 
 def _compact_facets(gens, n):
-    """Generator masks (bit k: generator k) of the compact facets of P(J).
+    """Point masks (bit k: point k) of the compact facets of P(gens).
 
     Their normals are the vertices of {w >= 0 : <w, g> >= 1}, found by
     double description (Motzkin et al. 1953; Fukuda-Prodon 1996) on the
     cone {(w, t) >= 0 : <w, g> - t >= 0}: from the n + 1 unit rays, add one
     generator row at a time, keeping primitive integer rays with the mask
     of constraints they vanish on (bit i <= n: sign of coordinate i; bit
-    n + 1 + k: generator k).  A positive and a negative ray combine only
+    n + 1 + k: point k).  A positive and a negative ray combine only
     when adjacent: they share at least n - 1 constraints, and no third ray
     vanishes wherever both vanish.
     """
@@ -223,10 +224,12 @@ def _compact_facets(gens, n):
 
 
 def _pulled(face, walls, memo):
-    """Pulling triangulation of a face (a generator mask) as tuples of
-    generator indices: the face's least point, a vertex, coned over the
-    facets of the face that miss it.  Those facets are the maximal proper
-    intersections of the face with the facets of P(J), ``walls``."""
+    """Pulling triangulation of a face (a point mask) as tuples of point
+    indices: the face's least point coned over the facets of the face that
+    miss it.  Any point of a face will do, vertex or not: the cones from it
+    over the facets that do not contain it subdivide the face.  Those facets
+    are the maximal proper intersections of the face with the facets of
+    the polyhedron, ``walls``."""
     if face not in memo:
         low = face & -face
         apex = low.bit_length() - 1
@@ -254,27 +257,39 @@ def _abs_det(rows):
     return abs(m[-1][-1])
 
 
+def _covolumes(pairs, ks):
+    """n! covol(P(U) + k P(G)) for each k in ks, from ``pairs``: every
+    (u, g) of the point sets U and G, the sum spanned by the u + k g.
+
+    For k > 0 the sums share one normal fan: u + k g lies on the face of
+    normal w exactly when u and g lie on that face of P(U) and of P(G).
+    So the compact facets and their pulling triangulations, as masks of
+    pairs, are found once at k = 1.  The bounded complement is the union
+    of the origin pyramids over the compact facets (the coordinate facets
+    give height 0); a simplex s adds |det(u_i + k g_i : i in s)|.
+    """
+    n = len(pairs[0][0])
+    points = [tuple(a + b for a, b in zip(u, g)) for u, g in pairs]
+    facets = _compact_facets(points, n)
+    walls = facets + [sum(1 << j for j, p in enumerate(points) if p[i] == 0)
+                      for i in range(n)]
+    memo = {}
+    simplices = [s for f in facets for s in _pulled(f, walls, memo)]
+    return [sum(_abs_det([[a + k * b for a, b in zip(*pairs[i])] for i in s])
+                for s in simplices) for k in ks]
+
+
 def covolume_times_factorial(ideal):
     """n! times the volume of the bounded complement of the Newton
-    polyhedron P(J), for every n; equals e_n and cross-checks the fit.
-
-    The complement is the union of the origin pyramids over the compact
-    facets (the coordinate facets give height 0).  Over a pulling
-    triangulation of each compact facet, a simplex v_1..v_n contributes
-    |det(v_1..v_n)|.
+    polyhedron P(J), for every n; equals e_n and cross-checks the fit on a
+    double description of its own, apart from ``mixed_covolumes``.
     """
     if ideal.is_unit:
         raise UnitIdealError("covolume undefined for the unit ideal")
     if not is_isolated_zero(ideal):
         raise NonIsolatedError(f"no isolated zero: {ideal}")
-    n = ideal.n
-    gens = sorted(ideal.generators)
-    facets = _compact_facets(gens, n)
-    walls = facets + [sum(1 << k for k, g in enumerate(gens) if g[i] == 0)
-                      for i in range(n)]
-    memo = {}
-    return sum(_abs_det([gens[i] for i in s])
-               for f in facets for s in _pulled(f, walls, memo))
+    zero = (0,) * ideal.n
+    return _covolumes([(zero, g) for g in ideal.generators], [1])[0]
 
 
 def mixed_covolumes(ideal):
@@ -282,23 +297,21 @@ def mixed_covolumes(ideal):
 
     Mixed multiplicities of monomial ideals are mixed covolumes (Teissier;
     Kaveh-Khovanskii 2014): n! covol(P(m) + k P(J)) = sum_j C(n, j) k^j e_j.
-    The vertices of k P(J) are k times those of P(J), which are among the
-    generators, so P(m) + k P(J) is spanned by the points u + k g, u a unit
-    vector and g a generator.  The covolumes at k = 1..n, with e_0 = 1 at
-    k = 0, determine the integer polynomial in k; its Newton divided
-    differences and coefficients are integers, and coefficient j divided by
-    C(n, j) is e_j.
+    P(m) + k P(J) is spanned by the points u + k g, u a unit vector and g a
+    generator; one double description and one triangulation serve every
+    k = 1..n (see ``_covolumes``), so the covolumes there follow one integer
+    polynomial P(k).  Its divided differences on the nodes 0..n, with 1 at
+    k = 0, are integers only if P(0) = n! covol(P(m)) is 1 modulo n!;
+    coefficient j divided by C(n, j) is e_j.
     """
     if ideal.is_unit:
         raise UnitIdealError("multiplicities undefined for the unit ideal")
     if not is_isolated_zero(ideal):
         raise NonIsolatedError(f"no isolated zero: {ideal}")
     n = ideal.n
-    d = [1]
-    for k in range(1, n + 1):
-        d.append(covolume_times_factorial(normalize_generators(
-            [tuple(k * x + (i == axis) for i, x in enumerate(g))
-             for g in ideal.generators for axis in range(n)], n)))
+    units = [tuple(int(i == axis) for i in range(n)) for axis in range(n)]
+    d = [1] + _covolumes([(u, g) for g in ideal.generators for u in units],
+                         range(1, n + 1))
     # divided differences on the nodes 0..n, then Horner back to powers of k
     for i in range(1, n + 1):
         for k in range(n, i - 1, -1):
@@ -372,11 +385,3 @@ def first_multiplicity(ideal):
     if ideal.is_unit:
         raise UnitIdealError("e_1 undefined for the unit ideal")
     return min(sum(g) for g in ideal.generators)
-
-
-def colength_of_product(ideal, t, r):
-    """Brute-route colength of m^r * J^t through the explicit product;
-    used by tests as the independent oracle for table cells."""
-    from .lattice import scale_and_multiply
-
-    return colength(scale_and_multiply(ideal, t, r, allow_unit=True))

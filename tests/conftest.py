@@ -6,6 +6,7 @@ paths are checked against something independent of them.
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -23,6 +24,34 @@ def brute_colength(gens, n):
         if not any(all(a <= b for a, b in zip(g, beta)) for g in gens):
             count += 1
     return count
+
+
+def colength_of_product(ideal, t, r):
+    """Colength of m^r * J^t through the explicit product ideal: the
+    independent oracle for colength-table cells."""
+    from lctk import colength, scale_and_multiply
+
+    return colength(scale_and_multiply(ideal, t, r, allow_unit=True))
+
+
+def ref_mixed_covolumes(ideal):
+    """e_0..e_n from the covolumes of m * J^k, one per k = 0..n, each on the
+    minimal generators of its own product ideal, through an exact
+    Vandermonde solve for the coefficients of sum_j C(n, j) k^j e_j."""
+    from lctk import covolume_times_factorial, normalize_generators
+
+    n = ideal.n
+    rows = [[Fraction(k ** j) for j in range(n + 1)] + [Fraction(
+        covolume_times_factorial(normalize_generators(
+            [tuple(k * x + (i == axis) for i, x in enumerate(g))
+             for g in ideal.generators for axis in range(n)], n)))]
+        for k in range(n + 1)]
+    for c in range(n + 1):
+        pivot = rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n + 1):
+            if r != c:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], pivot)]
+    return tuple(rows[j][-1] / comb(n, j) for j in range(n + 1))
 
 
 def brute_minimalize(vecs):

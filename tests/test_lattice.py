@@ -19,9 +19,8 @@ from lctk import (
     scale_and_multiply,
     unit_ideal,
 )
-from lctk.multiplicities import colength_of_product
 
-from conftest import brute_colength
+from conftest import brute_colength, colength_of_product
 
 vectors = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),

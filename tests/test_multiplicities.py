@@ -26,11 +26,12 @@ from lctk import (
 from lctk.multiplicities import (
     BASE_CAP,
     MultiplicitySequence,
-    colength_of_product,
     first_multiplicity,
     mixed_covolumes,
 )
 from lctk.report import random_isolated_ideal
+
+from conftest import colength_of_product, ref_mixed_covolumes
 
 CUSP = normalize_generators([(2, 0), (0, 3)], 2)
 
@@ -89,6 +90,11 @@ class TestHilbertTable:
             power = kernels.power_minimal(diag.generators, t, 2, 512)
             assert kernels.table_column(power, range(2, 5), 2) == [
                 kernels.diagonal_cell((2, 4), r, t) for r in range(2, 5)]
+
+    @pytest.mark.parametrize("base", [-1, -5])
+    def test_negative_base_rejected(self, base):
+        with pytest.raises(ValueError, match="base must be >= 0"):
+            hilbert_table(CUSP, base)
 
     def test_non_increasing_table_is_invariant_error(self, monkeypatch):
         from lctk import InvariantError, kernels
@@ -311,7 +317,31 @@ class TestCovolumeHigherDimensions:
 
 
 class TestMixedCovolumes:
-    """e from the covolumes of m * J^k, and the table's certificate."""
+    """e from the covolumes of P(m) + k P(J), and the table's certificate."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_per_k_reference_on_seeded_ideals(self, n):
+        # pure powers a_i plus mixed generators below them, so that the
+        # ideals (n >= 2) are not diagonal
+        rng = random.Random(90 + n)
+        for _ in range(12):
+            a = [rng.randint(2, 6 if n < 5 else 4) for _ in range(n)]
+            gens = [tuple(a[i] * (i == axis) for i in range(n))
+                    for axis in range(n)]
+            draws = [tuple(rng.randrange(v) for v in a)
+                     for _ in range(rng.randint(n, 3 * n))]
+            J = normalize_generators(
+                gens + [g for g in draws if sum(map(bool, g)) > 1], n)
+            assert mixed_covolumes(J) == ref_mixed_covolumes(J)
+
+    @pytest.mark.parametrize("gens, n", [
+        # e_x + y^2 and e_y + xy coincide at k = 1, inside the facet
+        ([(2, 0), (1, 1), (0, 2)], 2),
+        ([(3, 0, 0), (0, 2, 0), (0, 0, 5)], 3),     # diagonal
+    ])
+    def test_equals_per_k_reference_on_named_ideals(self, gens, n):
+        J = normalize_generators(gens, n)
+        assert mixed_covolumes(J) == ref_mixed_covolumes(J)
 
     @pytest.mark.parametrize("weights", [
         (4,), (2, 3), (3, 3), (1, 2, 5), (2, 2, 2, 3), (5, 1, 3, 2),
@@ -349,9 +379,8 @@ class TestMixedCovolumes:
                                                 covolumes, message):
         from lctk import multiplicities
 
-        values = iter(covolumes)
-        monkeypatch.setattr(multiplicities, "covolume_times_factorial",
-                            lambda ideal: next(values))
+        monkeypatch.setattr(multiplicities, "_covolumes",
+                            lambda pairs, ks: list(covolumes))
         with pytest.raises(InvariantError, match=message):
             mixed_covolumes(CUSP)
 
