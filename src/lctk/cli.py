@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 from . import __version__, kernels
 from .bounds import build_bounds_report
@@ -23,7 +24,7 @@ from .errors import (
     UnitIdealError,
     UnstableFitError,
 )
-from .groebner import certified_lct_lower_bound, default_order, order_sweep
+from .groebner import MAX_REDUCTIONS, MonomialOrder, default_order, order_sweep
 from .multiplicities import fit_multiplicities
 from .report import RunConfig, build_ideal_report, run_random_sweep
 from .serialize import (
@@ -193,27 +194,18 @@ def cmd_groebner_bound(args):
         raise SchemaError(
             f"--max-steps must be nonnegative, got {args.max_steps}")
     polys, order, orders = load_polynomial_ideal(args.input)
-    if args.sweep:
-        if orders is None:
-            from itertools import permutations
-
-            n = polys[0].n
-            if n > 5:
-                raise ResourceCapError(
-                    "default sweep enumerates lex orders; too many for n > 5")
-            from .groebner import MonomialOrder
-
-            orders = [default_order(n)] + [
-                MonomialOrder("lex", precedence=perm)
-                for perm in permutations(range(1, n + 1))
-            ]
-        cert = order_sweep(polys, orders,
-                           max_reductions=args.max_steps)
-    else:
-        if order is None:
-            order = default_order(polys[0].n)
-        cert = certified_lct_lower_bound(polys, order,
-                                         max_reductions=args.max_steps)
+    n = polys[0].n
+    if not args.sweep:
+        orders = [order or default_order(n)]
+    elif orders is None:
+        if n > 5:
+            raise ResourceCapError(
+                "default sweep enumerates lex orders; too many for n > 5")
+        orders = [default_order(n)] + [
+            MonomialOrder("lex", precedence=perm)
+            for perm in permutations(range(1, n + 1))
+        ]
+    cert = order_sweep(polys, orders, max_reductions=args.max_steps)
     payload = lower_bound_certificate_to_dict(cert)
     _emit(payload)
     _say(payload["guarantee"])
@@ -262,11 +254,12 @@ def build_parser():
                         help="seed for random sweeps")
     parser.add_argument("--csv", metavar="PATH", default=None,
                         help="write per-item CSV rows (sweeps)")
-    parser.add_argument("--max-steps", type=int, default=100_000,
+    parser.add_argument("--max-steps", type=int, default=MAX_REDUCTIONS,
                         help="Buchberger reduction-step cap")
-    parser.add_argument("--probe-grid", type=int, default=128,
+    parser.add_argument("--probe-grid", type=int, default=ProbeConfig.grid,
                         help="quadrature points per axis")
-    parser.add_argument("--probe-tolerance", type=float, default=0.05,
+    parser.add_argument("--probe-tolerance", type=float,
+                        default=ProbeConfig.theta,
                         help="probe ratio tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 from operator import add, le, mul, sub
 
-from . import kernels
+from . import bounds, kernels, multiplicities, thresholds
 from .errors import (
     PolynomialParseError,
     ResourceCapError,
@@ -492,54 +492,52 @@ class LowerBoundCertificate:
 
 def certified_lct_lower_bound(polys, order, *,
                               max_reductions=MAX_REDUCTIONS):
-    """Degenerate to the initial ideal and compute its exact threshold.
-
-    Requires every generator to vanish at the origin (a unit in the local
-    ring would trivialize the problem).
-    """
-    from .bounds import main_bound
-    from .multiplicities import mixed_multiplicities
-    from .thresholds import kiselman_lct
-
-    for p in polys:
-        if p.constant_term() != 0:
-            raise ValueError(
-                "generators must have zero constant term (local ring at 0)")
-    gb = buchberger(polys, order, max_reductions=max_reductions)
-    j0 = initial_ideal(gb, order)
-    if j0.is_unit:
-        raise UnitIdealError("the ideal is the unit ideal")
-    cert = kiselman_lct(j0)
-    mult_bound = None
-    mults = None
-    if is_isolated_zero(j0):
-        mults = mixed_multiplicities(j0)
-        mult_bound = main_bound(mults)
-    return LowerBoundCertificate(order=order, initial=j0, c_initial=cert.c,
-                                 mult_bound=mult_bound, mults=mults)
+    """The certificate of one order: ``order_sweep`` over [order]."""
+    return order_sweep(polys, [order], max_reductions=max_reductions)
 
 
 def order_sweep(polys, orders, *, max_reductions=MAX_REDUCTIONS):
     """Best certificate across several monomial orders.
 
-    Returns the certificate with maximal c_initial (ties to the first order
-    in the list); succeeds if any order succeeds.  Only resource errors
-    (ResourceCapError, UnstableFitError) of one order are tolerated; any
-    other error propagates, and the first resource error is raised when
-    every order fails.
+    Every generator must vanish at the origin (a unit in the local ring
+    would trivialize the problem).  Each order gets a reduced Groebner
+    basis, its initial ideal and that ideal's exact threshold c_initial;
+    the orders are ranked by c_initial, largest first, ties to the earlier
+    order in the list.  Only the best-ranked order is fitted (multiplicity
+    sequence and main bound, when its initial ideal has an isolated zero),
+    and the next one when that fit fails.  Only resource errors
+    (ResourceCapError from ``buchberger``, ResourceCapError or
+    UnstableFitError from the fit) of one order are tolerated; any other
+    error propagates, and when every order fails the error of the first
+    order in the list is raised.
     """
     if not orders:
         raise ValueError("need at least one order")
-    best = first_error = None
-    for order in orders:
+    if any(p.constant_term() != 0 for p in polys):
+        raise ValueError(
+            "generators must have zero constant term (local ring at 0)")
+    errors = {}
+    ranked = []
+    for i, order in enumerate(orders):
         try:
-            cert = certified_lct_lower_bound(
-                polys, order, max_reductions=max_reductions)
-        except (ResourceCapError, UnstableFitError) as exc:
-            first_error = first_error or exc
+            gb = buchberger(polys, order, max_reductions=max_reductions)
+        except ResourceCapError as exc:
+            errors[i] = exc
             continue
-        if best is None or cert.c_initial > best.c_initial:
-            best = cert
-    if best is None:
-        raise first_error
-    return best
+        j0 = initial_ideal(gb, order)
+        if j0.is_unit:
+            raise UnitIdealError("the ideal is the unit ideal")
+        ranked.append((thresholds.kiselman_lct(j0).c, i, j0))
+    ranked.sort(key=lambda r: -r[0])  # stable: ties keep the list order
+    for c, i, j0 in ranked:
+        mults = None
+        if is_isolated_zero(j0):
+            try:
+                mults = multiplicities.mixed_multiplicities(j0)
+            except (ResourceCapError, UnstableFitError) as exc:
+                errors[i] = exc
+                continue
+        return LowerBoundCertificate(
+            order=orders[i], initial=j0, c_initial=c, mults=mults,
+            mult_bound=None if mults is None else bounds.main_bound(mults))
+    raise errors[min(errors)]

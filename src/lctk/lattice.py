@@ -41,27 +41,30 @@ class MonomialIdeal:
         return f"({gens}) in {self.n} variables"
 
 
-def _check_vector(v, n):
+def _natural_vector(v, n):
+    """v as a tuple of ints; every entry must equal a natural number."""
+    v = tuple(v)
     if len(v) != n:
         raise DimensionMismatchError(
             f"vector {v} has length {len(v)}, expected {n}")
-    if any(e < 0 or e != int(e) for e in v):
+    ints = tuple(map(int, v))
+    if ints != v or min(ints) < 0:
         raise ValueError(f"exponents must be naturals, got {v}")
+    return ints
 
 
 def normalize_generators(raw, n):
     """Build the ideal with the unique minimal generating antichain.
 
     The zero vector absorbs everything, so its presence yields the unit
-    ideal with a single generator.
+    ideal with a single generator.  An exponent that is not a natural
+    number (1.5, "3", -1) is an error, not rounded or parsed.
     """
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
-    raw = [tuple(int(e) for e in v) for v in raw]
+    raw = [_natural_vector(v, n) for v in raw]
     if not raw:
         raise EmptyGeneratorsError("need at least one generator")
-    for v in raw:
-        _check_vector(v, n)
     gens = kernels.minimalize(raw, n)
     return MonomialIdeal(n, tuple(gens))
 
@@ -109,8 +112,7 @@ def diagonal_weights_of(ideal):
 
 def contains_monomial(ideal, beta):
     """True iff some generator divides z^beta."""
-    beta = tuple(beta)
-    _check_vector(beta, ideal.n)
+    beta = _natural_vector(beta, ideal.n)
     return any(all(a <= b for a, b in zip(g, beta))
                for g in ideal.generators)
 

@@ -189,12 +189,14 @@ def minorant_from_certificate(cert):
 #: Doubling box sizes R of the integrability probe.
 PROBE_SCHEDULE = (4, 8, 16, 32)
 
+#: Resource cap on the probe's grid size, grid ** n.
+PROBE_MAX_POINTS = 1 << 24
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
     grid: int = 128               # quadrature points per axis
     theta: float = 0.05           # ratio tolerance
-    max_points: int = 1 << 24     # resource cap on grid size
 
     def __post_init__(self):
         if self.grid < 2:
@@ -226,7 +228,7 @@ def numeric_integrability_probe(ideal, c, config=ProbeConfig()):
     if c <= 0:
         raise ValueError("c must be positive")
     n = ideal.n
-    if config.grid ** n > config.max_points:
+    if config.grid ** n > PROBE_MAX_POINTS:
         return ProbeResult("inconclusive", (),
                            note="grid exceeds max_points cap")
     cf = float(c)

@@ -216,6 +216,8 @@ class TestInputContract:
          []),
         ("groebner-bound", {"n": float("inf"), "polynomials": ["x1"]}, []),
         ("lct", {"n": float("inf"), "generators": [[1]]}, []),
+        ("lct", {"n": 2, "generators": [[1.5, 0], [0, 2]]}, []),
+        ("lct", {"n": 2, "generators": [["3", 0], [0, 2]]}, []),
     ])
     def test_exit_2(self, tmp_path, capsys, command, payload, extra):
         code, _, err = run(capsys, [command, write(tmp_path, "in.json",

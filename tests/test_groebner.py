@@ -505,17 +505,16 @@ class TestOrderSweep:
             order_sweep([parse_polynomial("x1", 1)], [])
 
     def test_invariant_error_of_one_order_propagates(self, monkeypatch):
-        from lctk import InvariantError, groebner
+        from lctk import InvariantError, thresholds
 
-        real = groebner.certified_lct_lower_bound
+        real = thresholds.kiselman_lct
 
-        def broken_for_lex21(polys, order, **kw):
-            if order == LEX21:
+        def broken_for_lex21(ideal):
+            if ideal.generators == ((0, 3),):  # the initial ideal of LEX21
                 raise InvariantError("injected")
-            return real(polys, order, **kw)
+            return real(ideal)
 
-        monkeypatch.setattr(groebner, "certified_lct_lower_bound",
-                            broken_for_lex21)
+        monkeypatch.setattr(thresholds, "kiselman_lct", broken_for_lex21)
         polys = [parse_polynomial("x1^2 + x2^3", 2)]
         with pytest.raises(InvariantError, match="injected"):
             order_sweep(polys, [LEX12, LEX21])
@@ -523,15 +522,83 @@ class TestOrderSweep:
     def test_resource_error_of_one_order_is_tolerated(self, monkeypatch):
         from lctk import DegreeCapError, groebner
 
-        real = groebner.certified_lct_lower_bound
+        real = groebner.buchberger
 
-        def capped_for_lex21(polys, order, **kw):
-            if order == LEX21:
+        def capped_for_lex12(polys, order, **kw):
+            if order == LEX12:
                 raise DegreeCapError("injected")
             return real(polys, order, **kw)
 
-        monkeypatch.setattr(groebner, "certified_lct_lower_bound",
-                            capped_for_lex21)
+        monkeypatch.setattr(groebner, "buchberger", capped_for_lex12)
         polys = [parse_polynomial("x1^2 + x2^3", 2)]
-        assert order_sweep(polys, [LEX12, LEX21]).c_initial == \
-            real(polys, LEX12).c_initial
+        cert = order_sweep(polys, [LEX12, LEX21])
+        assert (cert.order, cert.c_initial) == (LEX21, F(1, 3))
+
+
+class TestOrderSweepFit:
+    """Orders LEX21, grevlex, LEX12 on an input whose three initial ideals
+    all have an isolated zero, with thresholds 2/3, 2/3 and 3/4."""
+
+    POLYS = [parse_polynomial("x1^2 - x2^3", 2),
+             parse_polynomial("x1*x2^2", 2)]
+    ORDERS = [LEX21, default_order(2), LEX12]
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """Initial ideals handed to the fit, in call order."""
+        from lctk import multiplicities
+
+        real = multiplicities.mixed_multiplicities
+        seen = []
+
+        def counted(ideal):
+            seen.append(ideal.generators)
+            return real(ideal)
+
+        monkeypatch.setattr(multiplicities, "mixed_multiplicities", counted)
+        return seen
+
+    def test_only_the_winner_is_fitted(self, fits):
+        cert = order_sweep(self.POLYS, self.ORDERS)
+        assert (cert.order, cert.c_initial) == (LEX12, F(3, 4))
+        assert cert.mults.e == (1, 2, 9)
+        assert fits == [((0, 5), (1, 2), (2, 0))]
+
+    def test_unstable_winner_falls_back_to_next_ranked(self, monkeypatch,
+                                                       fits):
+        from lctk import UnstableFitError, multiplicities
+
+        counted = multiplicities.mixed_multiplicities
+
+        def unstable_for_lex12(ideal):
+            if ideal.generators == ((0, 5), (1, 2), (2, 0)):
+                raise UnstableFitError("injected")
+            return counted(ideal)
+
+        monkeypatch.setattr(multiplicities, "mixed_multiplicities",
+                            unstable_for_lex12)
+        cert = order_sweep(self.POLYS, self.ORDERS)
+        # the tie between LEX21 and grevlex goes to the earlier order
+        assert fits == [((0, 3), (1, 2), (3, 0))]
+        assert cert == certified_lct_lower_bound(self.POLYS, LEX21)
+
+    def test_every_order_failing_raises_the_first_orders_error(
+            self, monkeypatch):
+        from lctk import UnstableFitError, groebner, multiplicities
+
+        real = groebner.buchberger
+
+        def capped_for_lex12(polys, order, **kw):
+            if order == LEX12:
+                raise ResourceCapError("basis of LEX12")
+            return real(polys, order, **kw)
+
+        def unstable(ideal):
+            raise UnstableFitError("fit of LEX21")
+
+        monkeypatch.setattr(groebner, "buchberger", capped_for_lex12)
+        monkeypatch.setattr(multiplicities, "mixed_multiplicities",
+                            unstable)
+        # LEX12 fails first in time, in the basis; LEX21 later, in the fit
+        with pytest.raises(UnstableFitError, match="fit of LEX21"):
+            order_sweep(self.POLYS, [LEX21, LEX12])

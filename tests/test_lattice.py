@@ -57,6 +57,17 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize_generators([(1, -1)], 2)
 
+    @pytest.mark.parametrize("vec", [(1.5, 0), ("3", 0), (0, "x")])
+    def test_non_natural_rejected(self, vec):
+        # checked as given: int() would truncate 1.5 and parse "3"
+        with pytest.raises(ValueError):
+            normalize_generators([vec, (0, 2)], 2)
+
+    def test_integral_values_accepted(self):
+        J = normalize_generators([(2.0, 0), (0, 3)], 2)
+        assert J.generators == ((0, 3), (2, 0))
+        assert all(type(e) is int for g in J.generators for e in g)
+
     @given(vectors)
     @settings(max_examples=60)
     def test_idempotent_and_order_independent(self, vecs):

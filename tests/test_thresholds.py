@@ -21,6 +21,7 @@ from lctk import (
 from lctk import report, simplex, thresholds
 from lctk.report import build_ideal_report, random_isolated_ideal
 from lctk.thresholds import (
+    PROBE_MAX_POINTS,
     PROBE_SCHEDULE,
     ProbeConfig,
     UnitIdealWarning,
@@ -314,9 +315,11 @@ class TestProbe:
         assert all(r[2] is not None for r in res.trail[1:])
 
     def test_resource_cap_inconclusive(self):
-        config = ProbeConfig(grid=128, max_points=100)
-        res = numeric_integrability_probe(CUSP, F(3, 4), config)
-        assert res.verdict == "inconclusive"
+        # 128^4 = 2^28 points at the default grid, over the 2^24 cap
+        J = maximal_ideal(4)
+        assert ProbeConfig().grid ** J.n > PROBE_MAX_POINTS
+        res = numeric_integrability_probe(J, F(3, 4))
+        assert (res.verdict, res.trail) == ("inconclusive", ())
 
     def test_invalid_c(self):
         with pytest.raises(ValueError):
