@@ -1,28 +1,33 @@
-"""The inequality engine: the bound functional on log-convex sequences,
-the main lower bound, the classical interval, and the bound chain.
+"""The inequality engine: every inequality on a multiplicity sequence is
+decided here.  It holds the bound functional on log-convex sequences, the
+main lower bound, the classical interval, the bound chain and the
+sequence inequalities.
 
 Every verdict is exact.  Comparisons against n-th roots happen in the power
 domain with integers; the one genuinely two-root comparison in the chain is
 settled by a rational equality criterion plus certified dyadic bracketing.
-+infinity is represented by float('inf'), which orders correctly against
-Fraction and only ever arises from e_1 = 0.
+A sequence is (1, e_1, ..., e_n) with n >= 1 and positive integer entries,
+validated as a MultiplicitySequence, so e_1 >= 1 and every bound is a
+finite rational.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
-from .errors import InvariantError
 from .multiplicities import MultiplicitySequence
-
-INFINITY = float("inf")
 
 _ONE = Fraction(1)
 
 LT, EQ, GT = "LT", "EQ", "GT"
 
 
-def _entries(seq):
-    return seq.e if isinstance(seq, MultiplicitySequence) else tuple(seq)
+def _sequence(seq):
+    """seq as a MultiplicitySequence; a raw tuple is validated here."""
+    if isinstance(seq, MultiplicitySequence):
+        return seq
+    return MultiplicitySequence(tuple(seq))
 
 
 def d_membership(t, *, strict=False):
@@ -50,24 +55,14 @@ def f_value(t):
 
 
 def main_bound(seq):
-    """Sum of e_j / e_{j+1} for j < n; +infinity when e_1 vanishes."""
-    e = _entries(seq)
-    if len(e) >= 2 and e[1] == 0:
-        return INFINITY
-    total = Fraction(0)
-    for j in range(len(e) - 1):
-        if e[j + 1] == 0:
-            return INFINITY
-        total += Fraction(e[j], e[j + 1])
-    return total
+    """Sum of e_j / e_{j+1} for j < n: the bound functional at e_1..e_n."""
+    return f_value(_sequence(seq).e[1:])
 
 
 def skoda_interval(e1, n):
     """The classical two-sided enclosure (1/e_1, n/e_1)."""
-    if e1 == 0:
-        return (INFINITY, INFINITY)
-    if e1 < 0:
-        raise ValueError("e_1 must be a natural")
+    if e1 < 1:
+        raise ValueError(f"e_1 must be a positive integer, got {e1}")
     return (Fraction(1, e1), Fraction(n, e1))
 
 
@@ -151,11 +146,7 @@ def _compare_mixed_vs_geometric(e1, e_n, n, max_bits=4096):
     until they separate, and the separating bounds are the witness.
     """
     if e_n == e1 ** n:
-        lhs = Fraction(1, e1) + (n - 1) * Fraction(1, e1)
-        rhs = Fraction(n, e1)
-        if lhs != rhs:
-            raise InvariantError(f"equality case gave {lhs} != {rhs}")
-        return EQ, (lhs, rhs)
+        return EQ, (Fraction(n, e1), Fraction(n, e1))
     base = Fraction(1, e1)
     bits = 16
     while bits <= max_bits:
@@ -190,11 +181,9 @@ class ChainReport:
 def chain_check(seq):
     """Exact verification that the main bound dominates the mixed bound,
     which dominates the geometric-mean bound."""
-    e = _entries(seq)
-    n = len(e) - 1
-    if e[1] < 1:
-        raise ValueError("requires e_1 >= 1")
-    mb = main_bound(e)
+    seq = _sequence(seq)
+    e, n = seq.e, seq.n
+    mb = main_bound(seq)
     if n == 1:
         # both reference bounds collapse to 1/e_1
         wit = (mb, Fraction(1, e[1]))
@@ -221,51 +210,40 @@ def derivative_certificates(t):
     return out
 
 
-def random_interior_dvector(rng, n, *, max_num=9):
+def _ascending_products(rng, n, offset):
+    """Cumulative products of n ascending random ratios: the first is
+    offset + p/q, each next one the last times 1 + p/q, with p and q
+    uniform in 1..9."""
+    def draw():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9))
+
+    ratios = [offset + draw()]
+    for _ in range(n - 1):
+        ratios.append(ratios[-1] * (1 + draw()))
+    return tuple(accumulate(ratios, mul))
+
+
+def random_interior_dvector(rng, n):
     """Interior point of the log-convex cone from ascending random ratios."""
-    ratios = []
-    r = Fraction(rng.randint(1, max_num), rng.randint(1, max_num))
-    ratios.append(r)
-    for _ in range(n - 1):
-        r = r * (1 + Fraction(rng.randint(1, max_num),
-                              rng.randint(1, max_num)))
-        ratios.append(r)
-    t = []
-    acc = _ONE
-    for r in ratios:
-        acc *= r
-        t.append(acc)
-    return tuple(t)
+    return _ascending_products(rng, n, 0)
 
 
-def random_dominating_pair(rng, n, *, max_num=9):
+def random_dominating_pair(rng, n):
     """Pair a >= b, both interior: multiply b by an interior vector >= 1."""
-    b = random_interior_dvector(rng, n, max_num=max_num)
-    ratios = []
-    r = 1 + Fraction(rng.randint(1, max_num), rng.randint(1, max_num))
-    ratios.append(r)
-    for _ in range(n - 1):
-        r = r * (1 + Fraction(rng.randint(1, max_num),
-                              rng.randint(1, max_num)))
-        ratios.append(r)
-    u = []
-    acc = _ONE
-    for r in ratios:
-        acc *= r
-        u.append(acc)
-    a = tuple(x * y for x, y in zip(b, u))
-    return a, b
+    b = random_interior_dvector(rng, n)
+    u = _ascending_products(rng, n, 1)
+    return tuple(x * y for x, y in zip(b, u)), b
 
 
 @dataclass(frozen=True)
 class BoundsReport:
     """Aggregated exact comparisons for one multiplicity sequence."""
 
-    main: object                 # Fraction or +infinity
-    skoda_low: object
-    skoda_high: object
-    geometric_cmp: str           # ordering of c vs the geometric-mean bound
-    mixed_cmp: str
+    main: Fraction
+    skoda_low: Fraction
+    skoda_high: Fraction
+    geometric_cmp: object        # ordering of c vs the geometric-mean bound,
+    mixed_cmp: object            # and vs the mixed bound; None without c
     chain: ChainReport
     in_cone: bool
     details: tuple
@@ -273,10 +251,10 @@ class BoundsReport:
 
 def build_bounds_report(seq, c=None):
     """Assemble the full exact report; comparisons against c need c."""
-    e = _entries(seq)
-    n = len(e) - 1
-    mb = main_bound(e)
+    seq = _sequence(seq)
+    e, n = seq.e, seq.n
     lo, hi = skoda_interval(e[1], n)
+    geometric_cmp = mixed_cmp = None
     details = []
     if c is not None:
         c = Fraction(c)
@@ -287,11 +265,51 @@ def build_bounds_report(seq, c=None):
         else:
             mixed_cmp, mw = _cmp(c, Fraction(1, e[1])), ()
         details.append(("mixed", mw))
-    else:
-        geometric_cmp = mixed_cmp = EQ
-    chain = chain_check(e)
     return BoundsReport(
-        main=mb, skoda_low=lo, skoda_high=hi,
+        main=main_bound(seq), skoda_low=lo, skoda_high=hi,
         geometric_cmp=geometric_cmp, mixed_cmp=mixed_cmp,
-        chain=chain, in_cone=d_membership([Fraction(v) for v in e[1:]]),
+        chain=chain_check(seq), in_cone=d_membership(e[1:]),
         details=tuple(details))
+
+
+@dataclass(frozen=True)
+class SequenceReport:
+    log_convex: bool
+    power_lower: bool
+    interpolation: bool
+    failures: tuple
+
+    @property
+    def all_ok(self):
+        return self.log_convex and self.power_lower and self.interpolation
+
+
+def validate_sequence(seq):
+    """Exact check of the three inequality families a genuine sequence obeys.
+
+    Log-convexity e_j^2 <= e_{j-1} e_{j+1} (membership of e_1..e_n in the
+    log-convex cone); the power bounds e_j >= e_1^j; and interpolation
+    e_k^{l-j} <= e_j^{l-k} e_l^{k-j} for j < k < l.
+    """
+    seq = _sequence(seq)
+    e, n = seq.e, seq.n
+    failures = []
+    log_convex = d_membership(e[1:])
+    if not log_convex:
+        failures.append(f"log-convexity: some e_j^2 > e_(j-1) e_(j+1) "
+                        f"in {list(e)}")
+    power_lower = True
+    for j in range(n + 1):
+        if e[j] < e[1] ** j:
+            power_lower = False
+            failures.append(f"power bound: e_{j} = {e[j]} < e_1^{j}")
+    interpolation = True
+    for j in range(n + 1):
+        for k in range(j + 1, n + 1):
+            for l in range(k + 1, n + 1):
+                if e[k] ** (l - j) > e[j] ** (l - k) * e[l] ** (k - j):
+                    interpolation = False
+                    failures.append(
+                        f"interpolation failed at (j,k,l)=({j},{k},{l})")
+    return SequenceReport(log_convex, power_lower, interpolation,
+                          tuple(failures))

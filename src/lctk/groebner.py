@@ -389,7 +389,7 @@ def _s_work(f, g):
     return work, cf // d * cg
 
 
-def normal_form(poly, basis, order, counter=None):
+def normal_form(poly, basis, order):
     """Full multivariate division remainder of poly modulo the basis.
 
     Deterministic: always reduces the currently largest monomial by the
@@ -397,7 +397,7 @@ def normal_form(poly, basis, order, counter=None):
     """
     work, scale = _integer(poly.terms.items())
     rem, num, den = _reduce(dict(work), [_member(g, order) for g in basis],
-                            _HeapKeys(order), counter)
+                            _HeapKeys(order), None)
     return _polynomial(poly.n, rem, Fraction(num, scale * den))
 
 

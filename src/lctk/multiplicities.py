@@ -14,7 +14,9 @@ replaces slicing; the diagonal closed form cross-checks both routes.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, gcd
+from operator import mul
 
 from . import kernels
 from .errors import (
@@ -36,13 +38,14 @@ BASE_CAP = 64
 
 @dataclass(frozen=True)
 class MultiplicitySequence:
-    """Exact integers e_0, ..., e_n with e_0 = 1."""
+    """Exact integers e_0, ..., e_n with e_0 = 1 and n >= 1."""
 
     e: tuple
 
     def __post_init__(self):
-        if not self.e or self.e[0] != 1:
-            raise ValueError("sequence must start with e_0 = 1")
+        if len(self.e) < 2 or self.e[0] != 1:
+            raise ValueError(
+                "sequence must be (1, e_1, ..., e_n) with n >= 1")
         if any(v <= 0 or v != int(v) for v in self.e):
             raise ValueError("entries must be positive integers")
 
@@ -76,10 +79,7 @@ def diagonal_mults(a):
         raise ValueError("weights must be positive")
     if any(x > y for x, y in zip(a, a[1:])):
         raise ValueError("weights must be sorted ascending")
-    e = [1]
-    for v in a:
-        e.append(e[-1] * v)
-    return MultiplicitySequence(tuple(e))
+    return MultiplicitySequence(tuple(accumulate(a, mul, initial=1)))
 
 
 def hilbert_table(ideal, base):
@@ -333,51 +333,6 @@ def mixed_covolumes(ideal):
                 f"integer for {ideal}")
         e.append(q)
     return tuple(e)
-
-
-@dataclass(frozen=True)
-class SequenceReport:
-    log_convex: bool
-    power_lower: bool
-    interpolation: bool
-    failures: tuple
-
-    @property
-    def all_ok(self):
-        return self.log_convex and self.power_lower and self.interpolation
-
-
-def validate_sequence(seq):
-    """Exact check of the three inequality families a genuine sequence obeys.
-
-    Log-convexity e_j^2 <= e_{j-1} e_{j+1}; the power bounds e_j >= e_1^j;
-    and interpolation e_k^{l-j} <= e_j^{l-k} e_l^{k-j} for j < k < l.
-    """
-    e = seq.e if isinstance(seq, MultiplicitySequence) else tuple(seq)
-    n = len(e) - 1
-    failures = []
-    log_convex = True
-    for j in range(1, n):
-        if e[j] ** 2 > e[j - 1] * e[j + 1]:
-            log_convex = False
-            failures.append(
-                f"log-convexity: e_{j}^2 = {e[j] ** 2} > "
-                f"{e[j - 1] * e[j + 1]} = e_{j - 1} e_{j + 1}")
-    power_lower = True
-    for j in range(n + 1):
-        if e[j] < e[1] ** j:
-            power_lower = False
-            failures.append(f"power bound: e_{j} = {e[j]} < e_1^{j}")
-    interpolation = True
-    for j in range(n + 1):
-        for k in range(j + 1, n + 1):
-            for l in range(k + 1, n + 1):
-                if e[k] ** (l - j) > e[j] ** (l - k) * e[l] ** (k - j):
-                    interpolation = False
-                    failures.append(
-                        f"interpolation failed at (j,k,l)=({j},{k},{l})")
-    return SequenceReport(log_convex, power_lower, interpolation,
-                          tuple(failures))
 
 
 def first_multiplicity(ideal):

@@ -1,7 +1,7 @@
 """JSON forms shared by the modules and the CLI.
 
-Rationals serialize as exact "p/q" strings ("p" when integral, "inf" for
-the infinite sentinel); float mirrors live under "approx" keys.
+Rationals serialize as exact "p/q" strings ("p" when integral); float
+mirrors live under "approx" keys.
 """
 
 import json
@@ -17,8 +17,6 @@ class SchemaError(ValueError):
 
 
 def frac_str(value):
-    if value == float("inf"):
-        return "inf"
     f = Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
@@ -26,7 +24,7 @@ def frac_str(value):
 
 
 def frac_approx(value):
-    return float("inf") if value == float("inf") else float(value)
+    return float(value)
 
 
 def parse_frac(text):
@@ -58,8 +56,8 @@ def sequence_from_dict(data):
     except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc
     c = parse_frac(data["c"]) if "c" in data else None
-    if seq.e != e or seq.n < 1 or (c is not None and c <= 0):
-        raise SchemaError("need integers e_0, ..., e_n with n >= 1, c > 0")
+    if seq.e != e or (c is not None and c <= 0):
+        raise SchemaError("need integers e_0, ..., e_n and c > 0")
     return seq, c
 
 

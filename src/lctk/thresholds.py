@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-import numpy as np
-
 from .errors import DegenerateMinorantError, InvariantError, UnitIdealError
+from .lattice import is_isolated_zero
 from .simplex import OPTIMAL, solve_min
 
 _ZERO = Fraction(0)
@@ -76,8 +75,7 @@ def refined_lelong(ideal, x):
         warnings.warn("refined Lelong number of the unit ideal is 0",
                       UnitIdealWarning, stacklevel=2)
         return _ZERO
-    return min(sum((Fraction(a) * v for a, v in zip(g, x)), _ZERO)
-               for g in ideal.generators)
+    return min(sum(a * v for a, v in zip(g, x)) for g in ideal.generators)
 
 
 def _solve_optimal(what, rows, rhs, *costs):
@@ -100,8 +98,6 @@ def kiselman_lct(ideal):
     """
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal has no threshold")
-    from .lattice import is_isolated_zero
-
     gens = ideal.generators
     n = ideal.n
     k = len(gens)
@@ -220,8 +216,10 @@ def numeric_integrability_probe(ideal, c, config=ProbeConfig()):
     trapezoid quadrature for growing R.  Ratios of successive integrals
     near 1 indicate convergence; ratios bounded away from 1 indicate
     divergence.  Never a certificate: near the exact threshold the verdict
-    is unreliable.
+    is unreliable.  numpy is imported here, and nowhere else in lctk.
     """
+    import numpy as np
+
     if ideal.is_unit:
         raise UnitIdealError("probe undefined for the unit ideal")
     c = Fraction(c)
@@ -229,8 +227,11 @@ def numeric_integrability_probe(ideal, c, config=ProbeConfig()):
         raise ValueError("c must be positive")
     n = ideal.n
     if config.grid ** n > PROBE_MAX_POINTS:
-        return ProbeResult("inconclusive", (),
-                           note="grid exceeds max_points cap")
+        return ProbeResult(
+            "inconclusive", (),
+            note=f"grid ** n = {config.grid} ** {n} points exceed "
+                 f"PROBE_MAX_POINTS = {PROBE_MAX_POINTS}; a smaller "
+                 f"--probe-grid lowers the grid")
     cf = float(c)
     gens = [tuple(float(e) for e in g) for g in ideal.generators]
     w = np.ones(config.grid)

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from lctk import (
-    INFINITY,
     build_bounds_report,
     chain_check,
     compare_geometric_bound,
@@ -94,9 +93,10 @@ class TestMainBound:
         for n in range(1, 5):
             assert main_bound((1,) * (n + 1)) == n
 
-    def test_vanishing_e1_is_infinite(self):
-        assert main_bound((1, 0)) == INFINITY
-        assert main_bound((1, 0, 0)) == INFINITY
+    def test_vanishing_e1_rejected(self):
+        for e in ((1, 0), (1, 0, 0), (1,)):
+            with pytest.raises(ValueError):
+                main_bound(e)
 
     def test_equals_f_on_tail(self):
         assert main_bound((1, 2, 6)) == f_value((2, 6))
@@ -108,8 +108,9 @@ class TestSkoda:
         assert skoda_interval(1, 3) == (F(1), F(3))
         assert skoda_interval(5, 4) == (F(1, 5), F(4, 5))
 
-    def test_zero_sentinel(self):
-        assert skoda_interval(0, 3) == (INFINITY, INFINITY)
+    def test_zero_e1_rejected(self):
+        with pytest.raises(ValueError):
+            skoda_interval(0, 3)
 
 
 class TestGeometricBound:
@@ -218,3 +219,13 @@ class TestBoundsReport:
     def test_without_c(self):
         rep = build_bounds_report((1, 1, 1))
         assert rep.main == 2
+        # no comparison against c was made, so no verdict is given
+        assert rep.geometric_cmp is None and rep.mixed_cmp is None
+        assert rep.details == ()
+
+    def test_raw_sequence_validated(self):
+        for e in ((2, 3), (1,), (1, 0, 2), (1, 2.5, 6)):
+            with pytest.raises(ValueError):
+                build_bounds_report(e)
+            with pytest.raises(ValueError):
+                chain_check(e)

@@ -159,6 +159,16 @@ class TestBounds:
         assert data["bounds"]["main_bound"] == "5/6"
         assert data["bounds"]["chain"]["ok"]
 
+    def test_sequence_input_without_c(self, tmp_path, capsys):
+        path = write(tmp_path, "seq.json", {"e": [1, 2, 6]})
+        code, out, _ = run(capsys, ["bounds", path])
+        assert code == 0
+        data = json.loads(out)
+        assert "c" not in data
+        assert data["bounds"]["geometric_bound_cmp"] is None
+        assert data["bounds"]["mixed_bound_cmp"] is None
+        assert data["bounds"]["main_bound"] == "5/6"
+
     def test_ideal_input(self, tmp_path, capsys):
         code, out, _ = run(capsys,
                            ["bounds", write(tmp_path, "i.json", CUSP)])

@@ -56,6 +56,11 @@ class TestMultiplicitySequence:
         with pytest.raises(ValueError):
             MultiplicitySequence((2, 2))
 
+    def test_needs_n_at_least_one(self):
+        for e in ((), (1,)):
+            with pytest.raises(ValueError):
+                MultiplicitySequence(e)
+
     def test_synthetic_nonconvex_is_constructible(self):
         # validate_sequence is the judge, not the constructor
         seq = MultiplicitySequence((1, 3, 4))
@@ -411,3 +416,9 @@ class TestValidateSequence:
         rep = validate_sequence((1, 3, 4))
         assert not rep.log_convex
         assert rep.failures
+
+    def test_one_log_convexity_message(self):
+        # e_1^2 > e_0 e_2 and e_2^2 > e_1 e_3 both fail, one verdict
+        rep = validate_sequence((1, 3, 4, 5))
+        assert not rep.log_convex
+        assert sum(f.startswith("log-convexity") for f in rep.failures) == 1

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import lctk
 from lctk import (
     DegenerateMinorantError,
     NonIsolatedError,
@@ -320,10 +325,22 @@ class TestProbe:
         assert ProbeConfig().grid ** J.n > PROBE_MAX_POINTS
         res = numeric_integrability_probe(J, F(3, 4))
         assert (res.verdict, res.trail) == ("inconclusive", ())
+        assert res.note == (
+            "grid ** n = 128 ** 4 points exceed PROBE_MAX_POINTS = "
+            "16777216; a smaller --probe-grid lowers the grid")
 
     def test_invalid_c(self):
         with pytest.raises(ValueError):
             numeric_integrability_probe(CUSP, 0)
+
+    def test_numpy_loaded_only_by_probe(self):
+        src = str(Path(lctk.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys, lctk, lctk.serialize; "
+                "print('numpy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_unit_rejected(self):
         with pytest.raises(UnitIdealError):
