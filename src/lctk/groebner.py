@@ -66,12 +66,12 @@ class MonomialOrder:
     kind is one of lex, grevlex, weighted; precedence lists 1-based variable
     indices from most to least significant (None: x1 > x2 > ..., in any
     number of variables); weighted orders carry positive per-variable
-    weights plus a tiebreak kind.  Construction checks that the precedence
-    is a permutation of 1..len(precedence) and reads each weight as an exact
-    rational (a float as the decimal it prints as), scaled once to integers,
-    so weighted keys are exact; ``weights`` keeps the values as given.
-    ``key`` checks only that the monomial's length matches the precedence
-    and the weights.
+    weights plus a tiebreak kind, and only they take weights.  Construction
+    checks that the precedence is a permutation of 1..len(precedence), in
+    ints, and reads each weight as an exact rational (a float as the decimal
+    it prints as, a bool not at all), scaled once to integers, so weighted
+    keys are exact; ``weights`` keeps the values as given.  ``key`` checks
+    only that the monomial's length matches the precedence and the weights.
     """
 
     kind: str
@@ -82,26 +82,38 @@ class MonomialOrder:
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex", "weighted"):
             raise ValueError(f"unknown order kind {self.kind!r}")
+        if self.tiebreak not in ("lex", "grevlex"):
+            raise ValueError(f"unknown tiebreak {self.tiebreak!r}")
         p = self.precedence
-        if p is not None and sorted(p) != list(range(1, len(p) + 1)):
+        if p is not None and (
+                not all(type(i) is int for i in p)
+                or sorted(p) != list(range(1, len(p) + 1))):
             raise ValueError(
                 f"precedence {p} is not a permutation of 1..{len(p)}")
         int_weights = None
         if self.kind == "weighted":
             if not self.weights or not all(
-                    0 < w < inf for w in self.weights):
+                    not isinstance(w, bool) and 0 < w < inf
+                    for w in self.weights):
                 raise ValueError(
                     "weighted orders need positive finite weights")
-            if self.tiebreak not in ("lex", "grevlex"):
-                raise ValueError(f"unknown tiebreak {self.tiebreak!r}")
             exact = [Fraction(str(w)) if isinstance(w, float) else
                      Fraction(w) for w in self.weights]
             scale = lcm(*(w.denominator for w in exact))
             int_weights = tuple(int(w * scale) for w in exact)
+        elif self.weights is not None:
+            raise ValueError(
+                f"weights belong to weighted orders only, not {self.kind}")
         object.__setattr__(self, "_int_weights", int_weights)
+        object.__setattr__(self, "_grevlex", (
+            self.tiebreak if self.kind == "weighted" else self.kind)
+            == "grevlex")
 
-    def _ranked(self, mono):
-        """(integer weight or None, exponents in precedence order)."""
+    def key(self, mono):
+        """Sort key, one flat tuple of integers: larger key means larger
+        monomial.  It lists the integer weight (weighted orders), then
+        the tie: the exponents in precedence order (lex), or the degree
+        and the negated exponents in reverse precedence order (grevlex)."""
         n = len(mono)
         p = self.precedence
         if p is None:
@@ -111,33 +123,16 @@ class MonomialOrder:
         else:
             raise ValueError(
                 f"precedence {p} is not a permutation of 1..{n}")
+        if self._grevlex:
+            v = (sum(mono), *(-e for e in reversed(v)))
         w = self._int_weights
         if w is None:
-            return None, v
+            return v
         if len(w) != n:
             raise ValueError(
                 f"weights {self.weights} have length {len(w)}, "
                 f"expected {n}")
-        return sum(map(mul, w, mono)), v
-
-    def _grevlex_tie(self):
-        return (self.tiebreak if self.kind == "weighted"
-                else self.kind) == "grevlex"
-
-    def key(self, mono):
-        """Sort key: larger key means larger monomial."""
-        weight, v = self._ranked(mono)
-        tie = (sum(mono), tuple(-e for e in reversed(v))) \
-            if self._grevlex_tie() else v
-        return tie if weight is None else (weight, tie)
-
-    def _heap_key(self, mono):
-        """Flat tuple that sorts the other way round from ``key``: the
-        smallest heap key is the largest monomial."""
-        weight, v = self._ranked(mono)
-        flat = (-sum(mono),) + v[::-1] if self._grevlex_tie() else \
-            tuple(-e for e in v)
-        return flat if weight is None else (-weight,) + flat
+        return (sum(map(mul, w, mono)), *v)
 
 
 def default_order(n):
@@ -262,14 +257,15 @@ class _StepCounter:
 
 
 class _HeapKeys(dict):
-    """``order._heap_key`` memoized for one run."""
+    """The negated ``order.key``, memoized for one run: the smallest heap
+    key is the largest monomial."""
 
     def __init__(self, order):
         super().__init__()
         self.order = order
 
     def __missing__(self, mono):
-        key = self[mono] = self.order._heap_key(mono)
+        key = self[mono] = tuple(-x for x in self.order.key(mono))
         return key
 
 

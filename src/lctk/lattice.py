@@ -8,7 +8,6 @@ rational linear programming, and all values are immutable.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from . import kernels
 from .errors import (
@@ -42,15 +41,26 @@ class MonomialIdeal:
 
 
 def _natural_vector(v, n):
-    """v as a tuple of ints; every entry must equal a natural number."""
+    """v as a tuple of ints; every entry must equal a natural number.
+    2.0 does; 1.5, "3", -1 and booleans are errors, not rounded, parsed or
+    counted."""
     v = tuple(v)
     if len(v) != n:
         raise DimensionMismatchError(
             f"vector {v} has length {len(v)}, expected {n}")
     ints = tuple(map(int, v))
-    if ints != v or min(ints) < 0:
+    if ints != v or min(ints) < 0 or bool in map(type, v):
         raise ValueError(f"exponents must be naturals, got {v}")
     return ints
+
+
+def natural(value, what):
+    """value as an int, by the rule of ``_natural_vector``."""
+    try:
+        return _natural_vector((value,), 1)[0]
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"{what} must be a natural number, got {value!r}") from None
 
 
 def normalize_generators(raw, n):
@@ -58,7 +68,7 @@ def normalize_generators(raw, n):
 
     The zero vector absorbs everything, so its presence yields the unit
     ideal with a single generator.  An exponent that is not a natural
-    number (1.5, "3", -1) is an error, not rounded or parsed.
+    number (1.5, "3", -1, True) is an error, not rounded or parsed.
     """
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
@@ -71,8 +81,7 @@ def normalize_generators(raw, n):
 
 def maximal_ideal(n):
     """The ideal (z_1, ..., z_n)."""
-    return normalize_generators(
-        [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)], n)
+    return diagonal_ideal((1,) * n)
 
 
 def unit_ideal(n):
@@ -85,29 +94,6 @@ def diagonal_ideal(weights):
     return normalize_generators(
         [tuple(weights[i] if j == i else 0 for j in range(n))
          for i in range(n)], n)
-
-
-def is_diagonal(ideal):
-    """True iff every generator is a pure power (one per axis)."""
-    if len(ideal.generators) != ideal.n:
-        return False
-    axes = set()
-    for g in ideal.generators:
-        support = [i for i, e in enumerate(g) if e]
-        if len(support) != 1:
-            return False
-        axes.add(support[0])
-    return len(axes) == ideal.n
-
-
-def diagonal_weights_of(ideal):
-    """Per-axis pure-power exponents of a diagonal ideal."""
-    w = [0] * ideal.n
-    for g in ideal.generators:
-        for i, e in enumerate(g):
-            if e:
-                w[i] = e
-    return tuple(w)
 
 
 def contains_monomial(ideal, beta):
@@ -138,21 +124,6 @@ def colength(ideal):
     return kernels.table_column(ideal.generators, [0], ideal.n)[0]
 
 
-def _degree_compositions(total, n):
-    """All exponent vectors of the given total degree."""
-    if n == 1:
-        yield (total,)
-        return
-    for cuts in combinations_with_replacement(range(total + 1), n - 1):
-        out = []
-        prev = 0
-        for c in cuts:
-            out.append(c - prev)
-            prev = c
-        out.append(total - prev)
-        yield tuple(out)
-
-
 def scale_and_multiply(ideal, t, r, *, allow_unit=False):
     """The ideal m^r * J^t, as an explicit minimal generator set.
 
@@ -167,11 +138,10 @@ def scale_and_multiply(ideal, t, r, *, allow_unit=False):
                              "pass allow_unit=True to accept it")
         return unit_ideal(ideal.n)
     n = ideal.n
-    power = kernels.power_minimal(ideal.generators, t, n, MAX_TOTAL_DEGREE)
-    if r == 0:
-        return MonomialIdeal(n, tuple(power))
-    shifts = list(_degree_compositions(r, n))
-    gens = kernels.product_minimal(power, shifts, n, MAX_TOTAL_DEGREE)
+    j_t = kernels.power_minimal(ideal.generators, t, n, MAX_TOTAL_DEGREE)
+    m_r = kernels.power_minimal(maximal_ideal(n).generators, r, n,
+                                MAX_TOTAL_DEGREE)
+    gens = kernels.product_minimal(j_t, m_r, n, MAX_TOTAL_DEGREE)
     return MonomialIdeal(n, tuple(gens))
 
 

@@ -25,15 +25,14 @@ from .errors import (
     UnitIdealError,
     UnstableFitError,
 )
-from .lattice import (
-    MAX_TOTAL_DEGREE,
-    diagonal_weights_of,
-    is_diagonal,
-    is_isolated_zero,
-)
+from .lattice import MAX_TOTAL_DEGREE, is_isolated_zero
 
 #: Hilbert fitting retries doubling the base up to this bound.
 BASE_CAP = 64
+
+#: The fit reads the differences at the diagonal points (base + i, base + i)
+#: for i below this count.
+_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,13 @@ class HilbertTable:
 
     n: int
     base: int
-    window: int
     values: tuple
+
+    @property
+    def window(self):
+        """n + 2: the order-n differences at the diagonal points read
+        cells up to base + window."""
+        return self.n + _POINTS - 1
 
     def cell(self, r, t):
         return self.values[r - self.base][t - self.base]
@@ -82,41 +86,47 @@ def diagonal_mults(a):
     return MultiplicitySequence(tuple(accumulate(a, mul, initial=1)))
 
 
-def hilbert_table(ideal, base):
-    """Exact colength table of m^r * J^t on [base, base + n + 2]^2, the
-    window the order-n differences at three diagonal points read.
+def _require_isolated(ideal, what):
+    """The precondition of the table and the covolumes: a proper ideal
+    with an isolated zero."""
+    if ideal.is_unit:
+        raise UnitIdealError(f"{what} undefined for the unit ideal")
+    if not is_isolated_zero(ideal):
+        raise NonIsolatedError(f"no isolated zero: {ideal}")
 
-    Diagonal ideals use a per-axis aggregated count; everything else counts
-    the complement of the implicit cut family built from minimal generators
-    of J^t, so the product ideal itself is never materialized.
+
+def hilbert_table(ideal, base):
+    """Exact colength table of m^r * J^t on [base, base + window]^2, the
+    window the order-n differences at the diagonal points read.
+
+    With an isolated zero every axis needs a pure power of its own, so the
+    ideal is diagonal exactly when it has n minimal generators; its weights
+    are their degrees, and a per-axis aggregated count gives each cell.
+    Everything else counts the complement of the implicit cut family built
+    from minimal generators of J^t, so the product ideal itself is never
+    materialized.
     """
     if base < 0:
         raise ValueError(f"table base must be >= 0, got {base}")
-    if ideal.is_unit:
-        raise UnitIdealError("colength table undefined for the unit ideal")
-    if not is_isolated_zero(ideal):
-        raise NonIsolatedError(f"no isolated zero: {ideal}")
+    _require_isolated(ideal, "colength table")
     n = ideal.n
-    window = n + 2
-    span = range(base, base + window + 1)
-    if is_diagonal(ideal):
-        a = tuple(sorted(diagonal_weights_of(ideal)))
+    span = range(base, base + n + _POINTS)
+    if len(ideal.generators) == n:
+        a = tuple(sorted(map(sum, ideal.generators)))
         values = [tuple(kernels.diagonal_cell(a, r, t) for t in span)
                   for r in span]
     else:
-        powers = {}
         gens_t = kernels.power_minimal(
             ideal.generators, base, n, MAX_TOTAL_DEGREE)
-        powers[base] = gens_t
-        for t in span[1:]:
-            gens_t = kernels.product_minimal(
-                gens_t, ideal.generators, n, MAX_TOTAL_DEGREE)
-            powers[t] = gens_t
-        # one column per t, every r of the window at once
-        values = list(zip(*(kernels.table_column(powers[t], span, n)
-                            for t in span)))
-    table = HilbertTable(n=n, base=base, window=window,
-                         values=tuple(values))
+        columns = []
+        for t in span:
+            if t > base:
+                gens_t = kernels.product_minimal(
+                    gens_t, ideal.generators, n, MAX_TOTAL_DEGREE)
+            # one column per t, every r of the window at once
+            columns.append(kernels.table_column(gens_t, span, n))
+        values = list(zip(*columns))
+    table = HilbertTable(n=n, base=base, values=tuple(values))
     _check_strictly_increasing(table)
     return table
 
@@ -153,32 +163,28 @@ def fit_multiplicities(ideal):
     """Multiplicity sequence from the mixed covolumes, certified by the table.
 
     ``mixed_covolumes`` gives e.  The colength table certifies it: a base
-    is accepted when, for every j, the difference of order (n-j, j) agrees
-    at three consecutive diagonal points and equals e_j.  The base starts
-    at the maximal generator degree and doubles up to the cap; a table
-    still unstable there raises UnstableFitError, and a stable one that
-    disagrees with the covolumes raises InvariantError.
+    is accepted when the differences of order (n-j, j), j = 0..n, at
+    three consecutive diagonal points all equal e.  The base starts at the
+    maximal generator degree and doubles up to the cap.  There, differences
+    that agree with each other but not with the covolumes raise
+    InvariantError, and differences that do not agree raise
+    UnstableFitError.
     """
     e = mixed_covolumes(ideal)
     n = ideal.n
     base = min(max(sum(g) for g in ideal.generators), BASE_CAP)
     while True:
         table = hilbert_table(ideal, base)
-        seq = []
-        for j in range(n + 1):
-            vals = {_mixed_difference(table, base + i, base + i, n - j, j)
-                    for i in range(3)}
-            if len(vals) > 1:
-                break
-            seq.extend(vals)
-        else:
-            if tuple(seq) == e:
-                return FitResult(MultiplicitySequence(e), table)
-            if base >= BASE_CAP:
-                raise InvariantError(
-                    f"stable table differences {seq} disagree with the "
-                    f"mixed covolumes {list(e)} for {ideal}")
+        diffs = [tuple(_mixed_difference(table, base + i, base + i, n - j, j)
+                       for j in range(n + 1))
+                 for i in range(_POINTS)]
+        if all(d == e for d in diffs):
+            return FitResult(MultiplicitySequence(e), table)
         if base >= BASE_CAP:
+            if all(d == diffs[0] for d in diffs):
+                raise InvariantError(
+                    f"stable table differences {list(diffs[0])} disagree "
+                    f"with the mixed covolumes {list(e)} for {ideal}")
             raise UnstableFitError(
                 f"no stable fit up to base {BASE_CAP} for {ideal}",
                 table=table)
@@ -284,10 +290,7 @@ def covolume_times_factorial(ideal):
     polyhedron P(J), for every n; equals e_n and cross-checks the fit on a
     double description of its own, apart from ``mixed_covolumes``.
     """
-    if ideal.is_unit:
-        raise UnitIdealError("covolume undefined for the unit ideal")
-    if not is_isolated_zero(ideal):
-        raise NonIsolatedError(f"no isolated zero: {ideal}")
+    _require_isolated(ideal, "covolume")
     zero = (0,) * ideal.n
     return _covolumes([(zero, g) for g in ideal.generators], [1])[0]
 
@@ -304,10 +307,7 @@ def mixed_covolumes(ideal):
     k = 0, are integers only if P(0) = n! covol(P(m)) is 1 modulo n!;
     coefficient j divided by C(n, j) is e_j.
     """
-    if ideal.is_unit:
-        raise UnitIdealError("multiplicities undefined for the unit ideal")
-    if not is_isolated_zero(ideal):
-        raise NonIsolatedError(f"no isolated zero: {ideal}")
+    _require_isolated(ideal, "multiplicities")
     n = ideal.n
     units = [tuple(int(i == axis) for i in range(n)) for axis in range(n)]
     d = [1] + _covolumes([(u, g) for g in ideal.generators for u in units],

@@ -8,7 +8,7 @@ import json
 from fractions import Fraction
 
 from .groebner import MonomialOrder, parse_polynomial
-from .lattice import normalize_generators
+from .lattice import natural, normalize_generators
 from .multiplicities import MultiplicitySequence
 
 
@@ -43,7 +43,8 @@ def ideal_from_dict(data):
             or "generators" not in data:
         raise SchemaError('expected {"n": ..., "generators": [[...], ...]}')
     try:
-        return normalize_generators(data["generators"], int(data["n"]))
+        return normalize_generators(data["generators"],
+                                    natural(data["n"], "n"))
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -51,13 +52,13 @@ def ideal_from_dict(data):
 def sequence_from_dict(data):
     """(sequence, c or None) from {"e": [1, e_1, ..., e_n], "c": ...}."""
     try:
-        e = tuple(data["e"])
-        seq = MultiplicitySequence(tuple(int(v) for v in e))
+        seq = MultiplicitySequence(
+            tuple(natural(v, "each e_j") for v in data["e"]))
     except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc
     c = parse_frac(data["c"]) if "c" in data else None
-    if seq.e != e or (c is not None and c <= 0):
-        raise SchemaError("need integers e_0, ..., e_n and c > 0")
+    if c is not None and c <= 0:
+        raise SchemaError("need c > 0")
     return seq, c
 
 
@@ -118,6 +119,10 @@ def order_to_dict(order):
 def order_from_dict(data, n):
     if not isinstance(data, dict) or "kind" not in data:
         raise SchemaError('order must be {"kind": ..., ...}')
+    if data["kind"] != "weighted" and ("weights" in data
+                                       or "tiebreak" in data):
+        raise SchemaError(
+            '"weights" and "tiebreak" belong to "weighted" orders only')
     try:
         order = MonomialOrder(
             kind=data["kind"],
@@ -145,10 +150,9 @@ def polynomial_ideal_from_dict(data):
                                  and data["orders"]):
         raise SchemaError('"orders" must be a nonempty list of orders')
     try:
-        n = int(data["n"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"n must be an integer, got {data['n']!r}") \
-            from exc
+        n = natural(data["n"], "n")
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     polys = [parse_polynomial(text, n) for text in texts]
     if any(p.constant_term() != 0 for p in polys):
         raise SchemaError(

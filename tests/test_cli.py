@@ -228,6 +228,29 @@ class TestInputContract:
         ("lct", {"n": float("inf"), "generators": [[1]]}, []),
         ("lct", {"n": 2, "generators": [[1.5, 0], [0, 2]]}, []),
         ("lct", {"n": 2, "generators": [["3", 0], [0, 2]]}, []),
+        ("lct", {"n": 2, "generators": [[True, 0], [0, 3]]}, []),
+        ("lct", {"n": 2.9, "generators": [[2, 0], [0, 3]]}, []),
+        ("lct", {"n": "2", "generators": [[2, 0], [0, 3]]}, []),
+        ("lct", {"n": True, "generators": [[2]]}, []),
+        ("bounds", {"e": [1, True, 1]}, []),
+        ("groebner-bound", {"n": 2.5, "polynomials": ["x1^2 + x2^3"]}, []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "lex", "precedence": [True, 2]}},
+         []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "weighted",
+                                      "weights": [True, 1]}},
+         []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "lex", "weights": [5, 1],
+                                      "tiebreak": "nonsense"}},
+         []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "lex", "weights": [5, 1]}},
+         []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "grevlex", "tiebreak": "lex"}},
+         []),
     ])
     def test_exit_2(self, tmp_path, capsys, command, payload, extra):
         code, _, err = run(capsys, [command, write(tmp_path, "in.json",

@@ -87,7 +87,7 @@ class TestOrders:
         w = MonomialOrder("weighted", precedence=(1, 2), weights=(3, 1),
                           tiebreak="lex")
         assert w.key((1, 0)) > w.key((0, 2))
-        assert w.key((0, 3)) == (3, (0, 3))
+        assert w.key((0, 3)) == (3, 0, 3)
 
     def test_bad_precedence(self):
         with pytest.raises(ValueError, match="permutation of 1..2"):
@@ -102,6 +102,21 @@ class TestOrders:
     def test_weighted_needs_weights(self):
         with pytest.raises(ValueError):
             MonomialOrder("weighted")
+
+    @pytest.mark.parametrize("kind", ["lex", "grevlex"])
+    def test_weights_belong_to_weighted_orders(self, kind):
+        with pytest.raises(ValueError, match="weighted orders only"):
+            MonomialOrder(kind, weights=(5, 1))
+
+    @pytest.mark.parametrize("fields", [
+        {"precedence": (True, 2)},
+        {"precedence": (1.0, 2)},
+        {"kind": "weighted", "weights": (True, 1)},
+        {"tiebreak": "nonsense"},
+    ])
+    def test_non_int_fields_rejected(self, fields):
+        with pytest.raises(ValueError):
+            MonomialOrder(**{"kind": "lex", **fields})
 
     @pytest.mark.parametrize("weight", [0, float("nan"), float("inf")])
     def test_weights_positive_and_finite(self, weight):

@@ -57,9 +57,11 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize_generators([(1, -1)], 2)
 
-    @pytest.mark.parametrize("vec", [(1.5, 0), ("3", 0), (0, "x")])
+    @pytest.mark.parametrize("vec", [(1.5, 0), ("3", 0), (0, "x"),
+                                     (True, 0)])
     def test_non_natural_rejected(self, vec):
-        # checked as given: int() would truncate 1.5 and parse "3"
+        # checked as given: int() would truncate 1.5, parse "3" and count
+        # True as 1
         with pytest.raises(ValueError):
             normalize_generators([vec, (0, 2)], 2)
 

@@ -6,6 +6,7 @@ import pytest
 
 from lctk import (
     BACKEND,
+    HilbertTable,
     InvariantError,
     NonIsolatedError,
     UnitIdealError,
@@ -95,6 +96,32 @@ class TestHilbertTable:
             power = kernels.power_minimal(diag.generators, t, 2, 512)
             assert kernels.table_column(power, range(2, 5), 2) == [
                 kernels.diagonal_cell((2, 4), r, t) for r in range(2, 5)]
+
+    @pytest.mark.parametrize("J, unused", [
+        (diagonal_ideal((3,)), "table_column"),
+        (diagonal_ideal((4, 2)), "table_column"),
+        (diagonal_ideal((2, 3, 1)), "table_column"),
+        (normalize_generators([(2, 0), (1, 1), (0, 3)], 2), "diagonal_cell"),
+        (normalize_generators([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)],
+                              3), "diagonal_cell"),
+    ])
+    def test_generator_count_picks_the_count(self, monkeypatch, J, unused):
+        # n minimal generators and an isolated zero make an ideal diagonal
+        from lctk import kernels
+
+        def unused_kernel(*args):
+            raise AssertionError(f"{unused} called for {J}")
+
+        span = range(1, J.n + 4)
+        expected = tuple(tuple(colength_of_product(J, t, r) for t in span)
+                         for r in span)
+        monkeypatch.setattr(kernels, unused, unused_kernel)
+        assert hilbert_table(J, 1).values == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_window_is_derived(self, n):
+        assert HilbertTable(n=n, base=5, values=()).window == n + 2
+        assert hilbert_table(maximal_ideal(n), 0).window == n + 2
 
     @pytest.mark.parametrize("base", [-1, -5])
     def test_negative_base_rejected(self, base):
