@@ -196,7 +196,11 @@ def cmd_groebner_bound(args):
     polys, order, orders = load_polynomial_ideal(args.input)
     n = polys[0].n
     if not args.sweep:
+        if orders is not None:
+            raise SchemaError('"orders" needs --sweep; one order is "order"')
         orders = [order or default_order(n)]
+    elif order is not None:
+        raise SchemaError('--sweep reads "orders", not "order"')
     elif orders is None:
         if n > 5:
             raise ResourceCapError(

@@ -7,7 +7,15 @@ initial ideal is a certified lower bound for the threshold of the input.
 
 ``buchberger`` stores each basis member once, when it joins the basis, as a
 primitive integer polynomial with its leading monomial, and queues its pairs
-on a heap.  One private reducer, ``_reduce``, makes every division step of
+on a heap.  It reduces only the S-pairs that two criteria cannot settle:
+Buchberger's first criterion never queues a pair with coprime leading
+monomials, and his second (chain) criterion drops a pair (i, j) at pop time
+when a third member's leading monomial divides lcm(lm_i, lm_j) and its
+pairs with i and with j are no longer queued (Buchberger 1979; Gebauer and
+Moeller 1988).  The dropped S-polynomial is a combination of the S-pairs
+(i, k) and (k, j), already handled, so the reduced basis is the same.
+
+One private reducer, ``_reduce``, makes every division step of
 ``buchberger`` and ``normal_form``: it keeps the work terms on a heap keyed
 by the order, and instead of dividing by a leading coefficient it scales the
 work by an integer (fraction-free), so no rational number is made inside
@@ -413,7 +421,10 @@ def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
     polynomials only at the end.  Pair selection is the normal strategy: a
     heap of (lcm total degree, i, j) pops the smallest lcm degree, then
     insertion order; pairs with coprime leading monomials reduce to zero and
-    are never queued.  The first member for each minimal leading monomial is
+    are never queued (first criterion), and a popped pair (i, j) is skipped
+    when some other member k has a leading monomial dividing
+    lcm(lm_i, lm_j) and neither (i, k) nor (j, k) is still queued (chain
+    criterion).  The first member for each minimal leading monomial is
     kept, its tail reduced by the others; the result lists them by
     decreasing leading monomial.  A negative max_reductions is an error.
     """
@@ -427,7 +438,7 @@ def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
         raise ValueError("polynomials live in different rings")
     counter = _StepCounter(max_reductions)
     keys = _HeapKeys(order)
-    basis, pairs = [], []
+    basis, pairs, queued = [], [], set()
 
     def add(member):
         lm = member[0]
@@ -435,12 +446,24 @@ def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
             if any(map(min, other[0], lm)):
                 heapq.heappush(pairs,
                                (sum(map(max, other[0], lm)), i, len(basis)))
+                queued.add((i, len(basis)))
         basis.append(member)
+
+    def chained(i, j):
+        top = tuple(map(max, basis[i][0], basis[j][0]))
+        return any(
+            k != i and k != j and all(map(le, g[0], top))
+            and (min(i, k), max(i, k)) not in queued
+            and (min(j, k), max(j, k)) not in queued
+            for k, g in enumerate(basis))
 
     for p in polys:
         add(_member(p, order))
     while pairs:
         _, i, j = heapq.heappop(pairs)
+        queued.discard((i, j))
+        if chained(i, j):
+            continue
         rem = _reduce(_s_work(basis[i], basis[j])[0], basis, keys,
                       counter)[0]
         if rem:

@@ -116,9 +116,17 @@ def order_to_dict(order):
     return out
 
 
+def _only_keys(data, known, what):
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise SchemaError(f"unknown {what} keys {unknown}; "
+                          f"expected some of {list(known)}")
+
+
 def order_from_dict(data, n):
     if not isinstance(data, dict) or "kind" not in data:
         raise SchemaError('order must be {"kind": ..., ...}')
+    _only_keys(data, ("kind", "precedence", "weights", "tiebreak"), "order")
     if data["kind"] != "weighted" and ("weights" in data
                                        or "tiebreak" in data):
         raise SchemaError(
@@ -142,6 +150,7 @@ def polynomial_ideal_from_dict(data):
     if not isinstance(data, dict) or "n" not in data \
             or "polynomials" not in data:
         raise SchemaError('expected {"n": ..., "polynomials": [...]}')
+    _only_keys(data, ("n", "polynomials", "order", "orders"), "input")
     texts = data["polynomials"]
     if not (isinstance(texts, list) and texts
             and all(isinstance(t, str) for t in texts)):

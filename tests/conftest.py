@@ -123,13 +123,15 @@ def ref_s_polynomial(f, g, order):
     return out
 
 
-def ref_buchberger(polys, order):
+def ref_buchberger(polys, order, chain=True):
     """Reduced Groebner basis of term dicts by textbook Buchberger, with
     rational coefficients.  Members join monic; pairs are taken by smallest
     lcm total degree, then insertion order, skipping coprime leading
-    monomials; the first member for each minimal leading monomial is kept
-    and its tail reduced by the other kept members.  Returns (basis by
-    decreasing leading monomial, division steps)."""
+    monomials and, with chain, any pair (i, j) for which some third member
+    k has a leading monomial dividing lcm(lm_i, lm_j) while neither (i, k)
+    nor (j, k) is still pending; the first member for each minimal leading
+    monomial is kept and its tail reduced by the other kept members.
+    Returns (basis by decreasing leading monomial, division steps)."""
     basis, pairs, steps = [], [], 0
 
     def add(terms):
@@ -140,12 +142,27 @@ def ref_buchberger(polys, order):
                 pairs.append((sum(map(max, lg, lm)), i, len(basis)))
         basis.append({m: c / terms[lm] for m, c in terms.items()})
 
+    def pending(a, b):
+        return any({i, j} == {a, b} for _, i, j in pairs)
+
+    def skipped(i, j):
+        lcm = tuple(map(max, ref_leading(basis[i], order),
+                        ref_leading(basis[j], order)))
+        for k, g in enumerate(basis):
+            if k in (i, j) or pending(i, k) or pending(j, k):
+                continue
+            if all(a <= b for a, b in zip(ref_leading(g, order), lcm)):
+                return True
+        return False
+
     for p in polys:
         add(p.terms)
     while pairs:
         pair = min(pairs)
         pairs.remove(pair)
         _, i, j = pair
+        if chain and skipped(i, j):
+            continue
         s = ref_s_polynomial(basis[i], basis[j], order)
         if s:
             rem, k = ref_reduce(s, basis, order)

@@ -249,6 +249,14 @@ class TestInputContract:
                             "order": {"kind": "lex", "weights": [5, 1]}},
          []),
         ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "lex", "precdence": [2, 1]}},
+         []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "oder": {"kind": "lex"}}, []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "orders": [{"kind": "lex"}]}, []),
+        ("groebner-bound", POLY, ["--sweep"]),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
                             "order": {"kind": "grevlex", "tiebreak": "lex"}},
          []),
     ])
@@ -275,7 +283,7 @@ class TestInputContract:
         assert err.startswith("input error:")
 
     @pytest.mark.parametrize("polys", [["x1^2 + x2^3"],
-                                       ["x1^2 - x2", "x1*x2 - x1"]])
+                                       ["x1^2 - x2^3", "x1*x2 - x2^2"]])
     @pytest.mark.parametrize("extra", [[], ["--sweep"]])
     def test_negative_max_steps(self, tmp_path, capsys, polys, extra):
         path = write(tmp_path, "in.json", {"n": 2, "polynomials": polys})
