@@ -278,7 +278,8 @@ def build_parser():
     p = sub.add_parser("mults", help="multiplicity sequence")
     p.add_argument("input")
     p.add_argument("--dump-table", metavar="PATH", default=None,
-                   help="write the fitted colength table as CSV")
+                   help="write the counted cells of the fitted colength "
+                   "table (the staircase the fit reads) as CSV")
     p.set_defaults(func=cmd_mults)
 
     p = sub.add_parser("bounds", help="bound report for an ideal or "

@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
+from numbers import Real
 from operator import add, le, mul, sub
 
 from . import bounds, kernels, multiplicities, thresholds
@@ -77,8 +78,9 @@ class MonomialOrder:
     weights plus a tiebreak kind, and only they take weights.  Construction
     checks that the precedence is a permutation of 1..len(precedence), in
     ints, and reads each weight as an exact rational (a float as the decimal
-    it prints as, a bool not at all), scaled once to integers, so weighted
-    keys are exact; ``weights`` keeps the values as given.  ``key`` checks
+    it prints as; a bool, a string or anything else that is not a real
+    number not at all), scaled once to integers, so weighted keys are
+    exact; ``weights`` keeps the values as given.  ``key`` checks
     only that the monomial's length matches the precedence and the weights.
     """
 
@@ -101,8 +103,8 @@ class MonomialOrder:
         int_weights = None
         if self.kind == "weighted":
             if not self.weights or not all(
-                    not isinstance(w, bool) and 0 < w < inf
-                    for w in self.weights):
+                    isinstance(w, Real) and not isinstance(w, bool)
+                    and 0 < w < inf for w in self.weights):
                 raise ValueError(
                     "weighted orders need positive finite weights")
             exact = [Fraction(str(w)) if isinstance(w, float) else

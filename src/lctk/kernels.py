@@ -6,8 +6,9 @@ its own inputs.  For ``count_cut_complement`` the dimension must be at most
 4, and the guard is one exact check per call, linear in the number of
 terms: the largest coordinate, and the product of the per-axis covers read
 off the pure-axis terms, bound every count the compiled kernel can form.
-Both bounds only grow with the degree cuts, so ``table_column`` guards a
-whole column of colength-table cells once, at its largest cut.
+Both bounds only grow with the degree cuts, so ``table_column`` guards
+the cells of one colength-table column, the rs of the staircase at one t,
+once, at its largest cut.
 ``LCTK_PURE_PYTHON=1`` forces the fallback lane.  Both lanes are
 behaviourally identical; see tests/test_kernels.py for the parity suite and
 ``python3 perfbench/run.py --trace 1`` (``kernels.speedup.*``) for the

@@ -55,11 +55,17 @@ class MultiplicitySequence:
 
 @dataclass(frozen=True)
 class HilbertTable:
-    """Colengths L(r, t) for r, t in [base, base + window]."""
+    """Colengths L(r, t) on the staircase of cells the fit reads.
+
+    ``values`` maps (r, t) to L for the cells (base + x, base + y) with
+    x, y >= i and x + y <= n + 2i for some diagonal point i < 3: 9, 16, 24
+    and 33 cells for n = 1..4, out of the (window + 1)^2 of the square
+    [base, base + window]^2.  Reading any other cell is an InvariantError.
+    """
 
     n: int
     base: int
-    values: tuple
+    values: dict
 
     @property
     def window(self):
@@ -68,12 +74,25 @@ class HilbertTable:
         return self.n + _POINTS - 1
 
     def cell(self, r, t):
-        return self.values[r - self.base][t - self.base]
+        try:
+            return self.values[r, t]
+        except KeyError:
+            raise InvariantError(
+                f"cell ({r}, {t}) is outside the staircase counted from "
+                f"base {self.base}") from None
 
     def rows(self):
-        for i, row in enumerate(self.values):
-            for j, v in enumerate(row):
-                yield self.base + i, self.base + j, v
+        """(r, t, L) of every counted cell, ordered by r, then t."""
+        for (r, t), v in sorted(self.values.items()):
+            yield r, t, v
+
+
+def _staircase(n):
+    """Offsets (x, y) from (base, base) of the cells the fit reads: the
+    difference of order (n-j, j) at (base + i, base + i) reads the cells
+    (base + i + p, base + i + q) with p <= n - j and q <= j."""
+    return {(i + p, i + q) for i in range(_POINTS)
+            for p in range(n + 1) for q in range(n + 1 - p)}
 
 
 def diagonal_mults(a):
@@ -96,48 +115,51 @@ def _require_isolated(ideal, what):
 
 
 def hilbert_table(ideal, base):
-    """Exact colength table of m^r * J^t on [base, base + window]^2, the
-    window the order-n differences at the diagonal points read.
+    """Exact colength table of m^r * J^t on the staircase of cells that the
+    order-n differences at the diagonal points read (see HilbertTable); the
+    corner of the square [base, base + window]^2 with the largest r + t,
+    the costliest cells, is never counted.
 
     With an isolated zero every axis needs a pure power of its own, so the
     ideal is diagonal exactly when it has n minimal generators; its weights
     are their degrees, and a per-axis aggregated count gives each cell.
     Everything else counts the complement of the implicit cut family built
-    from minimal generators of J^t, so the product ideal itself is never
-    materialized.
+    from minimal generators of J^t, one column of the staircase per t, so
+    the product ideal itself is never materialized.
     """
     if base < 0:
         raise ValueError(f"table base must be >= 0, got {base}")
     _require_isolated(ideal, "colength table")
     n = ideal.n
-    span = range(base, base + n + _POINTS)
+    cells = _staircase(n)
     if len(ideal.generators) == n:
         a = tuple(sorted(map(sum, ideal.generators)))
-        values = [tuple(kernels.diagonal_cell(a, r, t) for t in span)
-                  for r in span]
+        values = {(base + x, base + y): kernels.diagonal_cell(
+            a, base + x, base + y) for x, y in cells}
     else:
         gens_t = kernels.power_minimal(
             ideal.generators, base, n, MAX_TOTAL_DEGREE)
-        columns = []
-        for t in span:
-            if t > base:
+        values = {}
+        for y in range(n + _POINTS):
+            if y:
                 gens_t = kernels.product_minimal(
                     gens_t, ideal.generators, n, MAX_TOTAL_DEGREE)
-            # one column per t, every r of the window at once
-            columns.append(kernels.table_column(gens_t, span, n))
-        values = list(zip(*columns))
-    table = HilbertTable(n=n, base=base, values=tuple(values))
+            # one column per t, every r of the staircase at once
+            rs = sorted(base + x for x, q in cells if q == y)
+            values.update(zip([(r, base + y) for r in rs],
+                              kernels.table_column(gens_t, rs, n)))
+    table = HilbertTable(n=n, base=base, values=values)
     _check_strictly_increasing(table)
     return table
 
 
 def _check_strictly_increasing(table):
+    """Each counted cell is below its counted neighbours in t and in r."""
     v = table.values
-    for i, row in enumerate(v):
-        for j in range(len(row) - 1):
-            if row[j] >= row[j + 1]:
-                raise InvariantError("table not increasing in t")
-        if i + 1 < len(v) and any(a >= b for a, b in zip(row, v[i + 1])):
+    for (r, t), x in v.items():
+        if v.get((r, t + 1), x + 1) <= x:
+            raise InvariantError("table not increasing in t")
+        if v.get((r + 1, t), x + 1) <= x:
             raise InvariantError("table not increasing in r")
 
 

@@ -135,7 +135,7 @@ class TestMults:
         base = json.loads(out)["base"]
         first = rows[1]
         assert first[0] == str(base) and first[1] == str(base)
-        assert len(rows) == 1 + (2 + 2 + 1) ** 2  # (window+1)^2 cells
+        assert len(rows) == 1 + 16  # the staircase the fit reads at n = 2
 
     def test_unstable_fit_exit_5(self, tmp_path, capsys, monkeypatch):
         from lctk import multiplicities
@@ -259,12 +259,26 @@ class TestInputContract:
         ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
                             "order": {"kind": "grevlex", "tiebreak": "lex"}},
          []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "weighted",
+                                      "weights": ["nan", 1]}},
+         []),
     ])
     def test_exit_2(self, tmp_path, capsys, command, payload, extra):
         code, _, err = run(capsys, [command, write(tmp_path, "in.json",
                                                    payload)] + extra)
         assert code == 2
         assert err.startswith("input error:")
+
+    @pytest.mark.parametrize("weight", ["nan", "a", None, [1]])
+    def test_weights_that_are_not_numbers(self, tmp_path, capsys, weight):
+        payload = {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                   "order": {"kind": "weighted", "weights": [weight, 1]}}
+        code, _, err = run(capsys, ["groebner-bound",
+                                    write(tmp_path, "in.json", payload)])
+        assert code == 2
+        assert err == ("input error: weighted orders need positive finite "
+                       "weights\n")
 
     @pytest.mark.parametrize("argv", [
         ["--probe-grid", "1", "probe", "{path}", "1/2"],

@@ -36,6 +36,19 @@ from conftest import colength_of_product, ref_mixed_covolumes
 
 CUSP = normalize_generators([(2, 0), (0, 3)], 2)
 
+COMPILED_4D = pytest.mark.skipif(
+    BACKEND != "compiled",
+    reason="4D tables and their explicit-product reference are slow on "
+           "the pure lane; 4D parity is covered in test_kernels")
+
+
+def staircase(n, base):
+    """The cells the fit reads: the differences of order (n-j, j) at the
+    diagonal points (base + i, base + i), i = 0..2."""
+    return {(base + x, base + y) for i in range(3)
+            for x in range(i, n + i + 1)
+            for y in range(i, n + 2 * i - x + 1)}
+
 
 class TestDiagonalMults:
     def test_examples(self):
@@ -112,11 +125,61 @@ class TestHilbertTable:
         def unused_kernel(*args):
             raise AssertionError(f"{unused} called for {J}")
 
-        span = range(1, J.n + 4)
-        expected = tuple(tuple(colength_of_product(J, t, r) for t in span)
-                         for r in span)
+        expected = {(r, t): colength_of_product(J, t, r)
+                    for r, t in staircase(J.n, 1)}
         monkeypatch.setattr(kernels, unused, unused_kernel)
         assert hilbert_table(J, 1).values == expected
+
+    @pytest.mark.parametrize("n, count", [(1, 9), (2, 16), (3, 24), (4, 33)])
+    def test_staircase_cell_counts(self, n, count):
+        assert len(staircase(n, 0)) == count < (n + 3) ** 2
+
+    @pytest.mark.parametrize("J", [
+        diagonal_ideal((3,)),
+        diagonal_ideal((2, 3)),
+        normalize_generators([(2, 0), (1, 1), (0, 3)], 2),
+        diagonal_ideal((1, 2, 2)),
+        normalize_generators([(2, 0, 0), (0, 2, 0), (0, 0, 3), (1, 0, 1)], 3),
+        pytest.param(diagonal_ideal((1, 1, 2, 2)), marks=COMPILED_4D),
+        pytest.param(normalize_generators(
+            [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2),
+             (1, 1, 0, 0)], 4), marks=COMPILED_4D),
+    ], ids=lambda J: f"n{J.n}-{len(J.generators)}gens")
+    def test_staircase_cells_match_explicit_products(self, J):
+        # n generators take the diagonal path, more take the generic one
+        # (at n = 1 every isolated-zero ideal is diagonal)
+        base = 1
+        table = hilbert_table(J, base)
+        assert set(table.values) == staircase(J.n, base)
+        for r, t, v in table.rows():
+            assert v == colength_of_product(J, t, r), (r, t)
+
+    def test_cell_outside_staircase_raises(self):
+        table = hilbert_table(CUSP, 1)
+        top = table.base + table.window
+        assert table.cell(top, 3) and table.cell(3, top)
+        for r, t in [(top, top), (1, 4), (0, 1), (top + 1, 3)]:
+            with pytest.raises(InvariantError, match="outside the staircase"):
+                table.cell(r, t)
+
+    @pytest.mark.parametrize("J", [
+        maximal_ideal(1), CUSP,
+        normalize_generators([(2, 0), (1, 1), (0, 3)], 2),
+        normalize_generators([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)], 3),
+    ])
+    def test_fit_reads_every_counted_cell_and_no_other(self, monkeypatch, J):
+        # the fit reads every counted cell, and no other: a change to
+        # _POINTS or to the difference orders must change the staircase too
+        read = set()
+        cell = HilbertTable.cell
+
+        def recording_cell(table, r, t):
+            read.add((r, t))
+            return cell(table, r, t)
+
+        monkeypatch.setattr(HilbertTable, "cell", recording_cell)
+        table = fit_multiplicities(J).table
+        assert read == set(table.values) == staircase(J.n, table.base)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_window_is_derived(self, n):
