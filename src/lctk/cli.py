@@ -61,10 +61,11 @@ def _say(message):
     print(message, file=sys.stderr)
 
 
-def _config(cls, **fields):
-    """cls(**fields); a field the config rejects is an input error."""
+def _checked(call, **fields):
+    """call(**fields); a value it rejects with ValueError is an input
+    error."""
     try:
-        return cls(**fields)
+        return call(**fields)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -128,10 +129,10 @@ def cmd_mults(args):
 def cmd_bounds(args):
     with open(args.input) as fh:
         data = json.load(fh)
-    if "generators" in data:
+    if isinstance(data, dict) and "generators" in data:
         rep = build_ideal_report(ideal_from_dict(data))
         seq, c, brep = rep.mults, rep.certificate.c, rep.bounds
-    elif "e" in data:
+    elif isinstance(data, dict) and "e" in data:
         seq, c = sequence_from_dict(data)
         brep = build_bounds_report(seq, c)
     else:
@@ -145,8 +146,8 @@ def cmd_bounds(args):
 
 
 def cmd_verify_random(args):
-    config = _config(RunConfig, seed=args.seed, dim=args.dim,
-                     max_degree=args.max_degree, count=args.count)
+    config = _checked(RunConfig, seed=args.seed, dim=args.dim,
+                      max_degree=args.max_degree, count=args.count)
     summary = run_random_sweep(config, keep_items=args.csv is not None)
     payload = {
         "config": {
@@ -219,11 +220,10 @@ def cmd_groebner_bound(args):
 def cmd_probe(args):
     ideal = load_ideal(args.input)
     c = parse_frac(args.c)
-    if c <= 0:
-        raise SchemaError(f"c must be positive, got {frac_str(c)}")
-    config = _config(ProbeConfig, grid=args.probe_grid,
-                     theta=args.probe_tolerance)
-    result = numeric_integrability_probe(ideal, c, config)
+    config = _checked(ProbeConfig, grid=args.probe_grid,
+                      theta=args.probe_tolerance)
+    result = _checked(numeric_integrability_probe, ideal=ideal, c=c,
+                      config=config)
     cert = kiselman_lct(ideal)
     payload = {
         "ideal": ideal_to_dict(ideal),

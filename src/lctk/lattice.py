@@ -1,20 +1,19 @@
 """Exact combinatorics of monomial ideals.
 
 A monomial ideal in n variables is identified with the inclusion-minimal
-antichain of its generator exponent vectors.  Everything here is exact:
-lattice counts are integers, Newton-polyhedron membership is decided by
-rational linear programming, and all values are immutable.
+antichain of its generator exponent vectors.  This module builds that
+antichain from raw exponents, decides whether the zero is isolated, and
+decides Newton-polyhedron membership by exact rational linear
+programming; all values are immutable.  Colengths are counted by the
+colength table (``multiplicities.hilbert_table`` through
+``kernels.table_column``).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .errors import (
-    DimensionMismatchError,
-    EmptyGeneratorsError,
-    NonIsolatedError,
-)
+from .errors import DimensionMismatchError, EmptyGeneratorsError
 
 #: Default cap on the total degree of any generated monomial; t-fold
 #: products in Hilbert fitting grow degrees linearly and this guards blowup.
@@ -96,13 +95,6 @@ def diagonal_ideal(weights):
          for i in range(n)], n)
 
 
-def contains_monomial(ideal, beta):
-    """True iff some generator divides z^beta."""
-    beta = _natural_vector(beta, ideal.n)
-    return any(all(a <= b for a, b in zip(g, beta))
-               for g in ideal.generators)
-
-
 def is_isolated_zero(ideal):
     """True iff each axis carries a pure-power generator (finite colength).
 
@@ -113,36 +105,6 @@ def is_isolated_zero(ideal):
                    for g in ideal.generators):
             return False
     return True
-
-
-def colength(ideal):
-    """Number of monomials outside the ideal; requires an isolated zero."""
-    if ideal.is_unit:
-        return 0
-    if not is_isolated_zero(ideal):
-        raise NonIsolatedError(f"infinite colength: {ideal}")
-    return kernels.table_column(ideal.generators, [0], ideal.n)[0]
-
-
-def scale_and_multiply(ideal, t, r, *, allow_unit=False):
-    """The ideal m^r * J^t, as an explicit minimal generator set.
-
-    t = r = 0 gives the unit ideal, which is only returned when explicitly
-    requested.
-    """
-    if t < 0 or r < 0:
-        raise ValueError("t and r must be naturals")
-    if t == 0 and r == 0:
-        if not allow_unit:
-            raise ValueError("t = r = 0 yields the unit ideal; "
-                             "pass allow_unit=True to accept it")
-        return unit_ideal(ideal.n)
-    n = ideal.n
-    j_t = kernels.power_minimal(ideal.generators, t, n, MAX_TOTAL_DEGREE)
-    m_r = kernels.power_minimal(maximal_ideal(n).generators, r, n,
-                                MAX_TOTAL_DEGREE)
-    gens = kernels.product_minimal(j_t, m_r, n, MAX_TOTAL_DEGREE)
-    return MonomialIdeal(n, tuple(gens))
 
 
 def newton_membership(ideal, point):

@@ -42,6 +42,7 @@ def ideal_from_dict(data):
     if not isinstance(data, dict) or "n" not in data \
             or "generators" not in data:
         raise SchemaError('expected {"n": ..., "generators": [[...], ...]}')
+    _only_keys(data, ("n", "generators"), "ideal")
     try:
         return normalize_generators(data["generators"],
                                     natural(data["n"], "n"))
@@ -50,7 +51,11 @@ def ideal_from_dict(data):
 
 
 def sequence_from_dict(data):
-    """(sequence, c or None) from {"e": [1, e_1, ..., e_n], "c": ...}."""
+    """(sequence, c or None) from {"e": [1, e_1, ..., e_n], "c": ...}.
+
+    The "base" that ``lctk mults`` writes next to "e" is accepted, so its
+    output is a sequence input."""
+    _only_keys(data, ("e", "c", "base"), "sequence")
     try:
         seq = MultiplicitySequence(
             tuple(natural(v, "each e_j") for v in data["e"]))

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import inf, isfinite
 
 from .errors import DegenerateMinorantError, InvariantError, UnitIdealError
 from .lattice import is_isolated_zero
@@ -118,7 +119,7 @@ def kiselman_lct(ideal):
     if s_star == 0:
         # unreachable for non-unit ideals: every generator has positive
         # pairing with the barycenter
-        raise UnitIdealError("degenerate zero slope")
+        raise InvariantError("Kiselman LP optimum has zero slope")
     return LctCertificate(c=_ONE / s_star, x0=tuple(res.x[:n]), nu=s_star,
                           isolated=is_isolated_zero(ideal))
 
@@ -148,6 +149,10 @@ def howald_lct(ideal):
     cost = [0] * k + [1] + [0] * n
     res = _solve_optimal("Howald LP", rows, rhs, cost)
     y_star = res.objective
+    if y_star == 0:
+        # unreachable for non-unit ideals: a convex combination of nonzero
+        # natural vectors has a positive coordinate
+        raise InvariantError("Howald LP optimum is zero")
     return _ONE / y_star
 
 
@@ -197,9 +202,9 @@ class ProbeConfig:
     def __post_init__(self):
         if self.grid < 2:
             raise ValueError(f"probe grid must be >= 2, got {self.grid}")
-        if not self.theta >= 0:
+        if not 0 <= self.theta < inf:
             raise ValueError(
-                f"probe tolerance must be >= 0, got {self.theta}")
+                f"probe tolerance must be finite and >= 0, got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -216,7 +221,9 @@ def numeric_integrability_probe(ideal, c, config=ProbeConfig()):
     trapezoid quadrature for growing R.  Ratios of successive integrals
     near 1 indicate convergence; ratios bounded away from 1 indicate
     divergence.  Never a certificate: near the exact threshold the verdict
-    is unreliable.  numpy is imported here, and nowhere else in lctk.
+    is unreliable.  The trail stops, inconclusive, at the first box whose
+    integral or ratio is not a finite float.  numpy is imported here, and
+    nowhere else in lctk.
     """
     import numpy as np
 
@@ -232,7 +239,10 @@ def numeric_integrability_probe(ideal, c, config=ProbeConfig()):
             note=f"grid ** n = {config.grid} ** {n} points exceed "
                  f"PROBE_MAX_POINTS = {PROBE_MAX_POINTS}; a smaller "
                  f"--probe-grid lowers the grid")
-    cf = float(c)
+    try:
+        cf = float(c)
+    except OverflowError:
+        raise ValueError("c is too large for the float probe") from None
     gens = [tuple(float(e) for e in g) for g in ideal.generators]
     w = np.ones(config.grid)
     w[0] = w[-1] = 0.5
@@ -246,11 +256,17 @@ def numeric_integrability_probe(ideal, c, config=ProbeConfig()):
         nu = reduce(np.minimum, [
             reduce(np.add, [e * ax for e, ax in zip(g, axes)])
             for g in gens])
-        integrand = reduce(np.multiply, weights,
-                           np.exp(2.0 * cf * nu - 2.0 * tot))
         h = float(R) / (config.grid - 1)
-        val = float(np.sum(integrand)) * h ** n
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrand = reduce(np.multiply, weights,
+                               np.exp(2.0 * cf * nu - 2.0 * tot))
+            val = float(np.sum(integrand)) * h ** n
         ratio = None if prev is None else val / prev
+        if not isfinite(val if ratio is None else ratio):
+            return ProbeResult(
+                "inconclusive", tuple(trail),
+                note=f"the integral at R = {R} or its ratio is not a "
+                     f"finite float; the trail stops before it")
         trail.append((R, val, ratio))
         prev = val
     last_ratio = trail[-1][2]

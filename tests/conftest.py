@@ -26,12 +26,33 @@ def brute_colength(gens, n):
     return count
 
 
+def product_ideal(ideal, t, r):
+    """m^r * J^t as an explicit minimal generator set: J^t and m^r by the
+    kernels' square-and-multiply powers, then one product.  t = r = 0
+    gives the unit ideal."""
+    from lctk import MonomialIdeal, kernels, maximal_ideal
+    from lctk.lattice import MAX_TOTAL_DEGREE
+
+    n = ideal.n
+    j_t = kernels.power_minimal(ideal.generators, t, n, MAX_TOTAL_DEGREE)
+    m_r = kernels.power_minimal(maximal_ideal(n).generators, r, n,
+                                MAX_TOTAL_DEGREE)
+    return MonomialIdeal(n, tuple(
+        kernels.product_minimal(j_t, m_r, n, MAX_TOTAL_DEGREE)))
+
+
+def colength(ideal):
+    """Number of monomials outside the ideal: one cut-family count, with
+    every cut at the generator's own degree."""
+    from lctk import kernels
+
+    return kernels.table_column(ideal.generators, [0], ideal.n)[0]
+
+
 def colength_of_product(ideal, t, r):
     """Colength of m^r * J^t through the explicit product ideal: the
     independent oracle for colength-table cells."""
-    from lctk import colength, scale_and_multiply
-
-    return colength(scale_and_multiply(ideal, t, r, allow_unit=True))
+    return colength(product_ideal(ideal, t, r))
 
 
 def ref_mixed_covolumes(ideal):

@@ -117,6 +117,33 @@ class TestInvariantFailure:
         assert out == ""
         assert "Kiselman LP ended infeasible" in err
 
+    @pytest.mark.parametrize("route, message", [
+        ("kiselman_lct", "Kiselman LP optimum has zero slope"),
+        ("howald_lct", "Howald LP optimum is zero")])
+    def test_zero_optimum_is_exit_4(self, tmp_path, capsys, monkeypatch,
+                                    route, message):
+        from fractions import Fraction
+
+        from lctk import InvariantError, normalize_generators, thresholds
+        from lctk.simplex import OPTIMAL, LPResult
+
+        real = thresholds.solve_min
+
+        def zero_optimum(rows, rhs, cost, *tiebreaks):
+            # only the Kiselman LP has tiebreaks
+            if bool(tiebreaks) == (route == "kiselman_lct"):
+                return LPResult(OPTIMAL, [Fraction(0)] * len(cost),
+                                Fraction(0))
+            return real(rows, rhs, cost, *tiebreaks)
+
+        monkeypatch.setattr(thresholds, "solve_min", zero_optimum)
+        with pytest.raises(InvariantError, match=message):
+            getattr(thresholds, route)(
+                normalize_generators([(2, 0), (0, 3)], 2))
+        code, out, err = run(capsys,
+                             ["lct", write(tmp_path, "i.json", CUSP)])
+        assert (code, out, err) == (4, "", f"error: {message}\n")
+
 
 class TestMults:
     def test_cusp(self, tmp_path, capsys):
@@ -172,6 +199,14 @@ class TestBounds:
     def test_ideal_input(self, tmp_path, capsys):
         code, out, _ = run(capsys,
                            ["bounds", write(tmp_path, "i.json", CUSP)])
+        assert code == 0
+        assert json.loads(out)["bounds"]["main_bound"] == "5/6"
+
+    def test_mults_output_is_a_sequence_input(self, tmp_path, capsys):
+        _, out, _ = run(capsys, ["mults", write(tmp_path, "i.json", CUSP)])
+        path = tmp_path / "seq.json"
+        path.write_text(out)
+        code, out, _ = run(capsys, ["bounds", str(path)])
         assert code == 0
         assert json.loads(out)["bounds"]["main_bound"] == "5/6"
 
@@ -263,6 +298,12 @@ class TestInputContract:
                             "order": {"kind": "weighted",
                                       "weights": ["nan", 1]}},
          []),
+        ("bounds", 5, []),
+        ("bounds", None, []),
+        ("bounds", True, []),
+        ("lct", {"n": 2, "generators": [[1, 0], [0, 1]], "x": 1}, []),
+        ("bounds", {"n": 2, "generators": [[2, 0], [0, 3]], "x": 1}, []),
+        ("bounds", {"e": [1, 2, 6], "c": "5/6", "extra": 1}, []),
     ])
     def test_exit_2(self, tmp_path, capsys, command, payload, extra):
         code, _, err = run(capsys, [command, write(tmp_path, "in.json",
@@ -289,6 +330,8 @@ class TestInputContract:
         ["verify-random", "--count", "0"],
         ["verify-random", "--dim", "0"],
         ["verify-random", "--max-degree", "0"],
+        ["--probe-tolerance", "inf", "probe", "{path}", "5"],
+        ["probe", "{path}", "1e400"],
     ])
     def test_config_exit_2(self, tmp_path, capsys, argv):
         path = write(tmp_path, "in.json", CUSP)
@@ -430,3 +473,47 @@ class TestProbe:
                                     "0.49"])
         assert code == 0
         assert "warning" in json.loads(out)
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 JSON does
+    not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStdoutIsJson:
+    """Every subcommand on the fixtures writes RFC 8259 JSON to stdout, or
+    nothing when it exits with an error, and no warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, payload", [
+        ([command, "{path}"] + extra, ideal)
+        for command, extra in [("lct", []), ("report", []), ("mults", []),
+                               ("bounds", []), ("probe", ["3/4"]),
+                               ("probe", ["1000"])]
+        for ideal in (CUSP, UNIT, NON_ISOLATED)] + [
+        (["bounds", "{path}"], {"e": [1, 2, 6], "c": "5/6"}),
+        (["groebner-bound", "{path}"], POLY),
+        (["groebner-bound", "{path}", "--sweep"],
+         {"n": 2, "polynomials": ["x1^2 + x2^3"]}),
+        (["--seed", "3", "verify-random", "--count", "4"], None),
+    ])
+    def test_stdout(self, tmp_path, capsys, argv, payload):
+        path = write(tmp_path, "in.json", payload)
+        code, out, _ = run(capsys, [a.format(path=path) for a in argv])
+        if code == 0:
+            strict_json(out)
+        else:
+            assert out == ""
+
+    def test_probe_far_above_threshold(self, tmp_path, capsys):
+        code, out, _ = run(capsys, ["probe", write(tmp_path, "i.json", CUSP),
+                                    "1000"])
+        assert code == 0
+        data = strict_json(out)
+        assert data["verdict"] == "inconclusive"
+        assert data["trail"] == []
+        assert "not a finite float" in data["note"]

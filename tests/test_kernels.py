@@ -137,7 +137,8 @@ class TestDispatch:
 
 
 def seed_cover_bound(terms, n):
-    """Per-axis scan of every term: the guard's formula, computed directly."""
+    """Per-axis scan of every term: the product of the per-axis covers,
+    which bounds the count; None when some axis has no pure term."""
     bound = 1
     for axis in range(n):
         cover = None
@@ -156,16 +157,41 @@ def axis_term(n, axis, k, m):
     return tuple(k if i == axis else 0 for i in range(n)), m
 
 
+#: The largest top with top ** 4 < _MAX_COUNT = 2 ** 62.
+TOP_N4 = 46340
+
+
 @st.composite
 def cut_families(draw):
     n = draw(st.integers(1, 5))
-    coord = st.sampled_from([0, 0, 1, 2, 7, kernels._MAX_COORD,
-                             kernels._MAX_COORD + 1])
+    coord = st.sampled_from([0, 0, 1, 2, 7, TOP_N4, TOP_N4 + 1,
+                             kernels._MAX_COORD, kernels._MAX_COORD + 1])
     term = st.one_of(
         st.tuples(st.integers(0, n - 1), coord, coord).map(
             lambda t: axis_term(n, *t)),
         st.tuples(st.tuples(*[coord] * n), coord))
     return draw(st.lists(term, max_size=10)), n
+
+
+@st.composite
+def non_isolated_families(draw):
+    """Small cut families in n = 2..4 with no pure term on one axis."""
+    n = draw(st.integers(2, 4))
+    missing = draw(st.integers(0, n - 1))
+    terms = []
+    for mu, m in draw(st.lists(
+            st.tuples(st.tuples(*[st.integers(0, 6)] * n),
+                      st.integers(0, 12)), min_size=1, max_size=8)):
+        if not any(c for i, c in enumerate(mu) if i != missing):
+            mu = axis_term(n, (missing + 1) % n, 1, 0)[0]
+        terms.append((mu, m))
+    return terms, n
+
+
+try:
+    from lctk import _staircase as compiled_lane
+except ImportError:
+    compiled_lane = None
 
 
 class TestGuard:
@@ -179,25 +205,47 @@ class TestGuard:
     @settings(max_examples=300, deadline=None)
     @given(cut_families())
     def test_bound_matches_per_axis_scan(self, family):
+        # one bound on top, the largest coordinate or cut; each per-axis
+        # cover is at most top, so an admitted family's cover product is
+        # below _MAX_COUNT or it has none
         terms, n = family
-        bound = seed_cover_bound(terms, n)
-        assert kernels._cover_bound(terms, n) == bound
-        small = all(c <= kernels._MAX_COORD
-                    for mu, m in terms for c in mu + (m,))
+        top = max((c for mu, m in terms for c in mu + (m,)), default=None)
         with mock.patch.object(kernels, "_compiled", object()):
-            assert kernels._compiled_ok_terms(terms, n) == (
-                n <= 4 and small and bound is not None
-                and bound < kernels._MAX_COUNT)
+            admitted = kernels._compiled_ok_terms(terms, n)
+        assert admitted == (
+            n <= 4 and top is not None and top <= kernels._MAX_COORD
+            and top ** n < kernels._MAX_COUNT)
+        if admitted:
+            bound = seed_cover_bound(terms, n)
+            assert bound is None or bound < kernels._MAX_COUNT
 
-    def test_cover_bound_below_and_at_max_count(self, compiled_present):
-        big = kernels._MAX_COORD
-        below = [axis_term(4, 0, big, 0), axis_term(4, 1, big, 0),
-                 axis_term(4, 2, big - 1, 0), axis_term(4, 3, 4, 0)]
-        assert kernels._cover_bound(below, 4) == kernels._MAX_COUNT - (1 << 42)
+    @pytest.mark.skipif(compiled_lane is None,
+                        reason="compiled extension not built")
+    @settings(max_examples=200, deadline=None)
+    @given(non_isolated_families())
+    def test_non_isolated_raises_on_both_lanes(self, family):
+        from lctk import _staircase_py as py
+        from lctk.errors import NonIsolatedError
+
+        terms, n = family
+        with mock.patch.object(kernels, "_compiled", compiled_lane):
+            assert kernels._compiled_ok_terms(terms, n)
+        for lane in (py, compiled_lane):
+            with pytest.raises(NonIsolatedError):
+                lane.count_cut_complement(terms, n)
+
+    def test_cover_bound_below_and_at_max_count(self, compiled_present,
+                                                monkeypatch):
+        below = [axis_term(4, axis, TOP_N4, 0) for axis in range(4)]
+        assert seed_cover_bound(below, 4) == TOP_N4 ** 4
         assert kernels._compiled_ok_terms(below, 4)
-        at = below[:2] + [axis_term(4, 2, big, 0)] + below[3:]
-        assert kernels._cover_bound(at, 4) == kernels._MAX_COUNT
-        assert not kernels._compiled_ok_terms(at, 4)
+        # a cut of TOP_N4 + 1 leaves the cover product below _MAX_COUNT,
+        # but top ** 4 is not
+        above = below[:3] + [axis_term(4, 3, TOP_N4, TOP_N4 + 1)]
+        assert seed_cover_bound(above, 4) < kernels._MAX_COUNT
+        assert not kernels._compiled_ok_terms(above, 4)
+        monkeypatch.setattr(kernels, "_MAX_COUNT", TOP_N4 ** 4)
+        assert not kernels._compiled_ok_terms(below, 4)
 
     @pytest.mark.parametrize("where", ["mu", "m"])
     def test_coordinate_limit(self, compiled_present, where):
@@ -210,25 +258,30 @@ class TestGuard:
             family(kernels._MAX_COORD + 1), 2)
 
     def test_axis_without_pure_term(self, compiled_present):
+        # admitted: the kernel itself raises NonIsolatedError
+        from lctk import _staircase_py as py
+        from lctk.errors import NonIsolatedError
+
         terms = [axis_term(3, 0, 2, 2), axis_term(3, 2, 2, 2),
                  ((1, 1, 0), 2), ((0, 1, 1), 2)]
-        assert kernels._cover_bound(terms, 3) is None
-        assert not kernels._compiled_ok_terms(terms, 3)
+        assert seed_cover_bound(terms, 3) is None
+        assert kernels._compiled_ok_terms(terms, 3)
+        with pytest.raises(NonIsolatedError):
+            py.count_cut_complement(terms, 3)
 
     def test_zero_vector_covers_every_axis(self, compiled_present):
-        assert kernels._cover_bound([((0, 0, 0), 5)], 3) == 125
+        assert seed_cover_bound([((0, 0, 0), 5)], 3) == 125
         terms = [((0, 0, 0), 5), axis_term(3, 1, 2, 3)]
-        assert kernels._cover_bound(terms, 3) == 5 * 3 * 5
+        assert seed_cover_bound(terms, 3) == 5 * 3 * 5
         assert kernels._compiled_ok_terms(terms, 3)
-        assert kernels._cover_bound([((0, 0), 0)], 2) == 1
+        assert kernels._compiled_ok_terms([((0, 0), 0)], 2)
 
     def test_empty_terms(self, compiled_present):
-        assert kernels._cover_bound([], 2) is None
+        assert seed_cover_bound([], 2) is None
         assert not kernels._compiled_ok_terms([], 2)
 
     def test_dimension_five_takes_python_lane(self, compiled_present):
         terms = [axis_term(5, axis, 2, 2) for axis in range(5)]
-        assert kernels._cover_bound(terms, 5) == 2 ** 5
         assert not kernels._compiled_ok_terms(terms, 5)
         assert kernels._compiled_ok_terms(
             [axis_term(4, axis, 2, 2) for axis in range(4)], 4)

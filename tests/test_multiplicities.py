@@ -20,7 +20,6 @@ from lctk import (
     mixed_multiplicities,
     newton_membership,
     normalize_generators,
-    scale_and_multiply,
     unit_ideal,
     validate_sequence,
 )
@@ -32,7 +31,7 @@ from lctk.multiplicities import (
 )
 from lctk.report import random_isolated_ideal
 
-from conftest import colength_of_product, ref_mixed_covolumes
+from conftest import colength_of_product, product_ideal, ref_mixed_covolumes
 
 CUSP = normalize_generators([(2, 0), (0, 3)], 2)
 
@@ -368,7 +367,7 @@ class TestCovolumeHigherDimensions:
             base = covolume_times_factorial(J)
             for k in (2, 3):
                 assert covolume_times_factorial(
-                    scale_and_multiply(J, k, 0)) == k ** n * base
+                    product_ideal(J, k, 0)) == k ** n * base
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_permutation_invariant(self, n):
@@ -452,7 +451,7 @@ class TestMixedCovolumes:
             J = _dense_isolated_ideal(rng, n, 3)
             e = mixed_covolumes(J)
             for k in (2, 3):
-                assert mixed_covolumes(scale_and_multiply(J, k, 0)) == \
+                assert mixed_covolumes(product_ideal(J, k, 0)) == \
                     tuple(k ** j * v for j, v in enumerate(e))
 
     @pytest.mark.parametrize("n", [4, 5])
