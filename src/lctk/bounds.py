@@ -27,7 +27,7 @@ def _sequence(seq):
     """seq as a MultiplicitySequence; a raw tuple is validated here."""
     if isinstance(seq, MultiplicitySequence):
         return seq
-    return MultiplicitySequence(tuple(seq))
+    return MultiplicitySequence(seq)
 
 
 def d_membership(t, *, strict=False):

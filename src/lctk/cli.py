@@ -22,7 +22,6 @@ from .errors import (
     PolynomialParseError,
     ResourceCapError,
     UnitIdealError,
-    UnstableFitError,
 )
 from .groebner import MAX_REDUCTIONS, MonomialOrder, default_order, order_sweep
 from .multiplicities import fit_multiplicities
@@ -320,7 +319,7 @@ def main(argv=None):
     except UnitIdealError as exc:
         _say(f"unit ideal: {exc}")
         return EXIT_UNIT
-    except (ResourceCapError, UnstableFitError) as exc:
+    except ResourceCapError as exc:
         _say(f"resource cap: {exc}")
         return EXIT_RESOURCE
     except LctkError as exc:

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``ResourceCapError`` is the one resource-limit type: a reduction step cap,
+a degree cap and a fit that does not stabilize by the base cap are all
+subclasses of it, so a caller catches it alone.  The CLI maps it to exit 5,
+and random sweeps count an ideal that hits one as skipped.
+"""
 
 
 class LctkError(Exception):
@@ -33,20 +39,21 @@ class InvariantError(LctkError):
     """
 
 
-class UnstableFitError(LctkError):
-    """Colength table differences did not stabilize within the base cap."""
-
-    def __init__(self, message, table=None):
-        super().__init__(message)
-        self.table = table
-
-
 class ResourceCapError(LctkError):
-    """A configured resource limit (steps, degree, points) was exceeded."""
+    """A configured resource limit (steps, degree, base) was exceeded."""
 
 
 class DegreeCapError(ResourceCapError):
     """A generated monomial exceeded the configured total-degree cap."""
+
+
+class UnstableFitError(ResourceCapError):
+    """Colength table differences did not stabilize within the base cap;
+    ``table`` is the table at the cap."""
+
+    def __init__(self, message, table=None):
+        super().__init__(message)
+        self.table = table
 
 
 class PolynomialParseError(LctkError, ValueError):

@@ -36,7 +36,6 @@ from .errors import (
     PolynomialParseError,
     ResourceCapError,
     UnitIdealError,
-    UnstableFitError,
 )
 from .lattice import is_isolated_zero, normalize_generators
 
@@ -526,11 +525,10 @@ def order_sweep(polys, orders, *, max_reductions=MAX_REDUCTIONS):
     the orders are ranked by c_initial, largest first, ties to the earlier
     order in the list.  Only the best-ranked order is fitted (multiplicity
     sequence and main bound, when its initial ideal has an isolated zero),
-    and the next one when that fit fails.  Only resource errors
-    (ResourceCapError from ``buchberger``, ResourceCapError or
-    UnstableFitError from the fit) of one order are tolerated; any other
-    error propagates, and when every order fails the error of the first
-    order in the list is raised.
+    and the next one when that fit fails.  Only a ResourceCapError of one
+    order is tolerated, from ``buchberger`` or from the fit (an unstable
+    fit is one); any other error propagates, and when every order fails
+    the error of the first order in the list is raised.
     """
     if not orders:
         raise ValueError("need at least one order")
@@ -555,7 +553,7 @@ def order_sweep(polys, orders, *, max_reductions=MAX_REDUCTIONS):
         if is_isolated_zero(j0):
             try:
                 mults = multiplicities.mixed_multiplicities(j0)
-            except (ResourceCapError, UnstableFitError) as exc:
+            except ResourceCapError as exc:
                 errors[i] = exc
                 continue
         return LowerBoundCertificate(

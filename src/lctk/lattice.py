@@ -4,8 +4,10 @@ A monomial ideal in n variables is identified with the inclusion-minimal
 antichain of its generator exponent vectors.  This module builds that
 antichain from raw exponents, decides whether the zero is isolated, and
 decides Newton-polyhedron membership by exact rational linear
-programming; all values are immutable.  Colengths are counted by the
-colength table (``multiplicities.hilbert_table`` through
+programming; all values are immutable.  ``natural`` is the one reader of
+natural numbers: exponents, sequence entries, diagonal weights, table
+bases and the n of JSON input all pass through it.  Colengths are counted
+by the colength table (``multiplicities.hilbert_table`` through
 ``kernels.table_column``).
 """
 
@@ -14,10 +16,6 @@ from fractions import Fraction
 
 from . import kernels
 from .errors import DimensionMismatchError, EmptyGeneratorsError
-
-#: Default cap on the total degree of any generated monomial; t-fold
-#: products in Hilbert fitting grow degrees linearly and this guards blowup.
-MAX_TOTAL_DEGREE = 512
 
 
 @dataclass(frozen=True)
@@ -39,27 +37,26 @@ class MonomialIdeal:
         return f"({gens}) in {self.n} variables"
 
 
+def natural(value, what):
+    """value as an int when it equals a natural number: 2.0 and
+    Fraction(4, 2) read as 2; True, "3", 2.5 and -1 are a ValueError, not
+    counted, parsed, rounded or made positive."""
+    try:
+        v = int(value)
+    except (TypeError, ValueError, OverflowError):
+        v = -1
+    if v < 0 or v != value or isinstance(value, bool):
+        raise ValueError(f"{what} must be a natural number, got {value!r}")
+    return v
+
+
 def _natural_vector(v, n):
-    """v as a tuple of ints; every entry must equal a natural number.
-    2.0 does; 1.5, "3", -1 and booleans are errors, not rounded, parsed or
-    counted."""
+    """v as a tuple of ints, each entry read by ``natural``."""
     v = tuple(v)
     if len(v) != n:
         raise DimensionMismatchError(
             f"vector {v} has length {len(v)}, expected {n}")
-    ints = tuple(map(int, v))
-    if ints != v or min(ints) < 0 or bool in map(type, v):
-        raise ValueError(f"exponents must be naturals, got {v}")
-    return ints
-
-
-def natural(value, what):
-    """value as an int, by the rule of ``_natural_vector``."""
-    try:
-        return _natural_vector((value,), 1)[0]
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(
-            f"{what} must be a natural number, got {value!r}") from None
+    return tuple(natural(x, "each exponent") for x in v)
 
 
 def normalize_generators(raw, n):
@@ -67,8 +64,9 @@ def normalize_generators(raw, n):
 
     The zero vector absorbs everything, so its presence yields the unit
     ideal with a single generator.  An exponent that is not a natural
-    number (1.5, "3", -1, True) is an error, not rounded or parsed.
+    number (1.5, "3", -1, True) is a ValueError (see ``natural``).
     """
+    n = natural(n, "ambient dimension")
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
     raw = [_natural_vector(v, n) for v in raw]

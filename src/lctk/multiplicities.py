@@ -25,10 +25,14 @@ from .errors import (
     UnitIdealError,
     UnstableFitError,
 )
-from .lattice import MAX_TOTAL_DEGREE, is_isolated_zero
+from .lattice import is_isolated_zero, natural
 
 #: Hilbert fitting retries doubling the base up to this bound.
 BASE_CAP = 64
+
+#: Cap on the total degree of any monomial of a table's J^t and m^r J^t;
+#: the t-fold products grow degrees linearly and this guards blowup.
+MAX_TOTAL_DEGREE = 512
 
 #: The fit reads the differences at the diagonal points (base + i, base + i)
 #: for i below this count.
@@ -37,16 +41,20 @@ _POINTS = 3
 
 @dataclass(frozen=True)
 class MultiplicitySequence:
-    """Exact integers e_0, ..., e_n with e_0 = 1 and n >= 1."""
+    """Exact integers e_0, ..., e_n with e_0 = 1 and n >= 1.
+
+    Each entry is read by ``lattice.natural`` and stored as an int."""
 
     e: tuple
 
     def __post_init__(self):
-        if len(self.e) < 2 or self.e[0] != 1:
+        e = tuple(natural(v, "each e_j") for v in self.e)
+        if len(e) < 2 or e[0] != 1:
             raise ValueError(
                 "sequence must be (1, e_1, ..., e_n) with n >= 1")
-        if any(v <= 0 or v != int(v) for v in self.e):
+        if 0 in e:
             raise ValueError("entries must be positive integers")
+        object.__setattr__(self, "e", e)
 
     @property
     def n(self):
@@ -96,10 +104,9 @@ def _staircase(n):
 
 
 def diagonal_mults(a):
-    """e_j = a_1 * ... * a_j for ascending positive integer weights."""
-    a = tuple(int(v) for v in a)
-    if any(v <= 0 for v in a):
-        raise ValueError("weights must be positive")
+    """e_j = a_1 * ... * a_j for ascending positive integer weights; a zero
+    weight makes a zero entry, which the sequence rejects."""
+    a = tuple(natural(v, "each weight") for v in a)
     if any(x > y for x, y in zip(a, a[1:])):
         raise ValueError("weights must be sorted ascending")
     return MultiplicitySequence(tuple(accumulate(a, mul, initial=1)))
@@ -127,8 +134,7 @@ def hilbert_table(ideal, base):
     from minimal generators of J^t, one column of the staircase per t, so
     the product ideal itself is never materialized.
     """
-    if base < 0:
-        raise ValueError(f"table base must be >= 0, got {base}")
+    base = natural(base, "table base")
     _require_isolated(ideal, "colength table")
     n = ideal.n
     cells = _staircase(n)
@@ -190,7 +196,7 @@ def fit_multiplicities(ideal):
     maximal generator degree and doubles up to the cap.  There, differences
     that agree with each other but not with the covolumes raise
     InvariantError, and differences that do not agree raise
-    UnstableFitError.
+    UnstableFitError, a ResourceCapError.
     """
     e = mixed_covolumes(ideal)
     n = ideal.n

@@ -81,7 +81,7 @@ def build_ideal_report(ideal):
     checks["covolume_matches_top"] = covolume_times_factorial(ideal) == e[n]
     if all(v > 0 for v in cert.x0):
         psi = minorant_from_certificate(cert)
-        f_psi = f_value(tuple(accumulate(psi.a, mul)))
+        f_psi = f_value(accumulate(psi, mul))
         # the minorant has the same threshold, and the bound functional
         # is monotone between the two sequences
         checks["minorant_chain"] = (
@@ -142,7 +142,8 @@ def run_random_sweep(config, *, keep_items=False):
     """Seeded bulk verification; reproducible item by item from the seed.
 
     The ideals draw first, then the monotonicity pairs.  An ideal that hits
-    a resource cap counts as skipped.
+    a resource cap (``ResourceCapError``: a degree cap, or a fit that does
+    not stabilize by ``BASE_CAP``) counts as skipped.
     """
     rng = random.Random(config.seed)
     summary = SweepSummary(config=config)

@@ -44,8 +44,7 @@ def ideal_from_dict(data):
         raise SchemaError('expected {"n": ..., "generators": [[...], ...]}')
     _only_keys(data, ("n", "generators"), "ideal")
     try:
-        return normalize_generators(data["generators"],
-                                    natural(data["n"], "n"))
+        return normalize_generators(data["generators"], data["n"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -57,8 +56,7 @@ def sequence_from_dict(data):
     output is a sequence input."""
     _only_keys(data, ("e", "c", "base"), "sequence")
     try:
-        seq = MultiplicitySequence(
-            tuple(natural(v, "each e_j") for v in data["e"]))
+        seq = MultiplicitySequence(data["e"])
     except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc
     c = parse_frac(data["c"]) if "c" in data else None

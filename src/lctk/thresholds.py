@@ -4,12 +4,14 @@ The primal route maximizes the refined Lelong number over the standard
 simplex by exact LP; the dual route asks for the largest scaling of the
 Newton polyhedron containing the all-ones point.  Both are rational and
 must agree exactly, which the test suite enforces on every ideal it sees.
+The worst diagonal minorant, read off the primal certificate, is a plain
+ascending tuple of Fraction weights, the input ``diagonal_lct`` takes.
 A numeric quadrature probe gives a heuristic integrability check; it is
 never a certificate.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import inf, isfinite
@@ -35,26 +37,6 @@ class LctCertificate:
     x0: tuple
     nu: Fraction
     isolated: bool = True
-
-
-@dataclass(frozen=True)
-class DiagonalWeights:
-    """Ascending positive weights a_1 <= ... <= a_n of a diagonal ideal.
-
-    `axis_order[k]` is the original axis whose weight landed in slot k
-    after sorting (None when the order never mattered).
-    """
-
-    a: tuple
-    axis_order: tuple = field(default=None)
-
-    def __post_init__(self):
-        if not self.a:
-            raise ValueError("need at least one weight")
-        if any(w <= 0 for w in self.a):
-            raise ValueError("weights must be positive")
-        if any(x > y for x, y in zip(self.a, self.a[1:])):
-            raise ValueError("weights must be sorted ascending")
 
 
 class UnitIdealWarning(UserWarning):
@@ -157,16 +139,19 @@ def howald_lct(ideal):
 
 
 def diagonal_lct(weights):
-    """Threshold of a diagonal ideal: the sum of inverse weights."""
-    a = weights.a if isinstance(weights, DiagonalWeights) else tuple(
-        Fraction(w) for w in weights)
+    """Threshold of a diagonal ideal: the sum of inverse weights, each a
+    positive rational."""
+    a = tuple(Fraction(w) for w in weights)
+    if not a:
+        raise ValueError("need at least one weight")
     if any(w <= 0 for w in a):
         raise ValueError("weights must be positive")
-    return sum((_ONE / Fraction(w) for w in a), _ZERO)
+    return sum(_ONE / w for w in a)
 
 
 def worst_diagonal_minorant(ideal):
-    """Diagonal weights nu/x0_j of the threshold-preserving comparison ideal.
+    """Diagonal weights nu/x0_j of the threshold-preserving comparison ideal,
+    as an ascending tuple of Fractions.
 
     The associated diagonal weight dominates the ideal's weight function and
     has the same threshold, because sum(x0_j) / nu = 1 / nu.  Fails when the
@@ -180,11 +165,7 @@ def minorant_from_certificate(cert):
     if any(v == 0 for v in cert.x0):
         raise DegenerateMinorantError(
             f"maximizing point {cert.x0} has a zero coordinate")
-    paired = sorted(
-        ((cert.nu / v, axis) for axis, v in enumerate(cert.x0)),
-        key=lambda p: (p[0], p[1]))
-    return DiagonalWeights(a=tuple(p[0] for p in paired),
-                           axis_order=tuple(p[1] for p in paired))
+    return tuple(sorted(cert.nu / v for v in cert.x0))
 
 
 #: Doubling box sizes R of the integrability probe.

@@ -31,7 +31,7 @@ def product_ideal(ideal, t, r):
     kernels' square-and-multiply powers, then one product.  t = r = 0
     gives the unit ideal."""
     from lctk import MonomialIdeal, kernels, maximal_ideal
-    from lctk.lattice import MAX_TOTAL_DEGREE
+    from lctk.multiplicities import MAX_TOTAL_DEGREE
 
     n = ideal.n
     j_t = kernels.power_minimal(ideal.generators, t, n, MAX_TOTAL_DEGREE)

@@ -379,6 +379,17 @@ class TestVerifyRandom:
                                   "--count", "6"])
         assert out1 != out2
 
+    def test_unstable_fit_is_skipped(self, capsys):
+        # seed 1 draws (z2^70, z1^84), whose fit does not stabilize by
+        # BASE_CAP: a resource cap, so the sweep skips it and goes on
+        code, out, _ = run(capsys, ["--seed", "1", "verify-random",
+                                    "--dim", "2", "--max-degree", "100",
+                                    "--count", "6"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["skipped"] >= 1
+        assert data["passed"] + data["skipped"] == 6
+
     def test_csv_rows(self, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"
         code, _, _ = run(capsys, ["--seed", "5", "--csv", str(out_csv),

@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 from lctk import (
     DimensionMismatchError,
     EmptyGeneratorsError,
+    MultiplicitySequence,
     NonIsolatedError,
+    diagonal_lct,
+    diagonal_mults,
+    hilbert_table,
     is_isolated_zero,
+    main_bound,
     maximal_ideal,
     newton_membership,
     normalize_generators,
@@ -74,6 +79,39 @@ class TestNormalize:
         J2 = normalize_generators(list(reversed(vecs)), 3)
         J3 = normalize_generators(J1.generators, 3)
         assert J1 == J2 == J3
+
+
+# Every reader of a natural number in the multiplicity layer, fed one value
+# v; each returns what it stored for v.  main_bound((1, v)) is 1/v, so its
+# denominator reads e_1.
+NATURAL_READERS = {
+    "MultiplicitySequence": lambda v: MultiplicitySequence((1, v)).e[1],
+    "main_bound": lambda v: main_bound((1, v)).denominator,
+    "diagonal_mults": lambda v: diagonal_mults((1, v)).e[2],
+    "hilbert_table": lambda v: hilbert_table(
+        normalize_generators([(2, 0), (0, 3)], 2), v).base,
+    "normalize_generators": lambda v: normalize_generators(
+        [(v, 0), (0, 3)], 2).generators[1][0],
+}
+
+
+class TestNaturalNumberContract:
+    @pytest.mark.parametrize("reader", sorted(NATURAL_READERS))
+    @pytest.mark.parametrize("value", [True, "3", 2.5, -1], ids=repr)
+    def test_rejected(self, reader, value):
+        # not counted, parsed, rounded or made positive
+        with pytest.raises(ValueError):
+            NATURAL_READERS[reader](value)
+
+    @pytest.mark.parametrize("reader", sorted(NATURAL_READERS))
+    @pytest.mark.parametrize("value", [2.0, Fraction(4, 2)], ids=repr)
+    def test_integral_values_stored_as_int(self, reader, value):
+        stored = NATURAL_READERS[reader](value)
+        assert stored == 2 and type(stored) is int
+
+    def test_diagonal_lct_needs_a_weight(self):
+        with pytest.raises(ValueError, match="need at least one weight"):
+            diagonal_lct(())
 
 
 class TestIsolated:

@@ -9,6 +9,7 @@ from lctk import (
     HilbertTable,
     InvariantError,
     NonIsolatedError,
+    RunConfig,
     UnitIdealError,
     UnstableFitError,
     covolume_times_factorial,
@@ -20,6 +21,7 @@ from lctk import (
     mixed_multiplicities,
     newton_membership,
     normalize_generators,
+    run_random_sweep,
     unit_ideal,
     validate_sequence,
 )
@@ -187,7 +189,8 @@ class TestHilbertTable:
 
     @pytest.mark.parametrize("base", [-1, -5])
     def test_negative_base_rejected(self, base):
-        with pytest.raises(ValueError, match="base must be >= 0"):
+        with pytest.raises(ValueError,
+                           match="table base must be a natural number"):
             hilbert_table(CUSP, base)
 
     def test_non_increasing_table_is_invariant_error(self, monkeypatch):
@@ -274,6 +277,16 @@ class TestMixedMultiplicities:
         table = info.value.table
         assert table.base == BASE_CAP
         assert table == hilbert_table(CUSP, BASE_CAP)
+
+    def test_sweep_skips_an_unstable_fit(self):
+        # seed 1 draws (z2^70, z1^84), whose fit does not stabilize by
+        # BASE_CAP; an unstable fit is a resource cap, so it is skipped
+        with pytest.raises(UnstableFitError):
+            fit_multiplicities(normalize_generators([(0, 70), (84, 0)], 2))
+        summary = run_random_sweep(
+            RunConfig(seed=1, dim=2, max_degree=100, count=6))
+        assert summary.skipped >= 1
+        assert summary.passed + summary.skipped == 6
 
     @pytest.mark.skipif(BACKEND != "compiled",
                         reason="generic 4D counting is slow on the pure "

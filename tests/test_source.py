@@ -4,8 +4,15 @@ import ast
 from pathlib import Path
 
 import lctk
+from lctk.errors import DegreeCapError, ResourceCapError, UnstableFitError
 
 PACKAGE = Path(lctk.__file__).resolve().parent
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
 
 
 def test_package_has_no_assert():
@@ -15,4 +22,21 @@ def test_package_has_no_assert():
              for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_resource_caps_are_one_type():
+    # exit 5 and a skipped sweep item are decided by ResourceCapError alone
+    assert issubclass(UnstableFitError, ResourceCapError)
+    assert issubclass(DegreeCapError, ResourceCapError)
+    subs = {cls.__name__ for cls in _subclasses(ResourceCapError)}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ExceptHandler) and isinstance(
+                    node.type, ast.Tuple):
+                names = {getattr(e, "id", getattr(e, "attr", None))
+                         for e in node.type.elts}
+                if "ResourceCapError" in names and names & subs:
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []

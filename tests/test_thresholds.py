@@ -214,16 +214,15 @@ class TestDiagonalLct:
 class TestWorstDiagonalMinorant:
     def test_cusp(self):
         w = worst_diagonal_minorant(CUSP)
-        assert w.a == (F(2), F(3))
-        assert w.axis_order == (0, 1)
+        assert w == (F(2), F(3))
 
     def test_maximal_symmetric(self):
         w = worst_diagonal_minorant(maximal_ideal(3))
-        assert w.a == (F(1), F(1), F(1))
+        assert w == (F(1), F(1), F(1))
 
     def test_equal_powers(self):
         w = worst_diagonal_minorant(normalize_generators([(4, 0), (0, 4)], 2))
-        assert w.a == (F(4), F(4))
+        assert w == (F(4), F(4))
 
     def test_threshold_preserved(self):
         rng = random.Random(13)
