@@ -9,7 +9,10 @@ top^n bounds every count the compiled kernel can form; a family with an
 axis that has no pure term reaches the kernel, which raises
 ``NonIsolatedError`` as the fallback does.  The bound only grows with the
 degree cuts, so ``table_column`` guards the cells of one colength-table
-column, the rs of the staircase at one t, once, at its largest cut.
+column, the rs of the staircase at one t, once, at its largest cut.  No
+coordinate of a generator exceeds its degree, so that cut is the top, and
+a ``PreparedPower`` that carries the largest degree of J^t makes the
+guard O(1).
 ``LCTK_PURE_PYTHON=1`` forces the fallback lane.  Both lanes are
 behaviourally identical; see tests/test_kernels.py for the parity suite and
 ``python3 perfbench/run.py --trace 1`` (``kernels.speedup.*``) for the
@@ -19,6 +22,7 @@ speed-ups.
 import os
 from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import _staircase_py as _py
 from ._staircase_py import power_minimal as _square_and_multiply
@@ -37,12 +41,18 @@ _MAX_COORD = 1 << 20
 _MAX_COUNT = 1 << 62
 
 
+def _compiled_ok_top(top, n):
+    """The one bound: top, the largest coordinate or cut of a family."""
+    return (_compiled is not None and 1 <= n <= 4 and top <= _MAX_COORD
+            and top ** n < _MAX_COUNT)
+
+
 def _compiled_ok_terms(terms, n):
-    if _compiled is None or not 1 <= n <= 4 or not terms:
+    if not terms:
         return False
-    top = max(max(map(itemgetter(1), terms)),
-              max(chain.from_iterable(map(itemgetter(0), terms))))
-    return top <= _MAX_COORD and top ** n < _MAX_COUNT
+    return _compiled_ok_top(
+        max(max(map(itemgetter(1), terms)),
+            max(chain.from_iterable(map(itemgetter(0), terms)))), n)
 
 
 def minimalize(vecs, n):
@@ -70,19 +80,38 @@ def count_cut_complement(terms, n):
     return _py.count_cut_complement(terms, n)
 
 
-def table_column(power_gens, rs, n):
-    """Colengths of m^r * J^t for each r in rs, J^t given by its minimal
-    generators: counts of the cut family (g, |g| + r).
+class PreparedPower(NamedTuple):
+    """Minimal generators g of J^t, their degrees |g| and the largest
+    degree: all that ``table_column`` reads."""
+
+    gens: list
+    degrees: list
+    degree: int
+
+
+def prepare_power(gens):
+    degrees = list(map(sum, gens))
+    return PreparedPower(gens, degrees, max(degrees))
+
+
+def _column_ok(power, r, n):
+    """The verdict of ``_compiled_ok_terms`` on the cut family (g, |g| + r)
+    of a prepared power, in O(1): with r >= 0 its top is the largest cut,
+    the largest degree plus r, since no coordinate exceeds its degree."""
+    return _compiled_ok_top(power.degree + r, n)
+
+
+def table_column(power, rs, n):
+    """Colengths of m^r * J^t for each r in rs, J^t a ``PreparedPower``:
+    counts of the cut family (g, |g| + r).
 
     The guard's bound only grows with r, so one guard at the largest r
     picks the lane of the whole column.
     """
-    degrees = [(g, sum(g)) for g in power_gens]
-    top = max(rs)
-    lane = _compiled if _compiled_ok_terms(
-        [(g, s + top) for g, s in degrees], n) else _py
-    return [lane.count_cut_complement([(g, s + r) for g, s in degrees], n)
-            for r in rs]
+    lane = _compiled if _column_ok(power, max(rs), n) else _py
+    return [lane.count_cut_complement(
+        [(g, s + r) for g, s in zip(power.gens, power.degrees)], n)
+        for r in rs]
 
 
 def diagonal_cell(a, r, t):

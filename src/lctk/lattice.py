@@ -6,7 +6,9 @@ antichain from raw exponents, decides whether the zero is isolated, and
 decides Newton-polyhedron membership by exact rational linear
 programming; all values are immutable.  ``natural`` is the one reader of
 natural numbers: exponents, sequence entries, diagonal weights, table
-bases and the n of JSON input all pass through it.  Colengths are counted
+bases and the n of JSON input all pass through it.  ``rational`` is the
+one reader of the rationals a library call takes: threshold weights,
+Lelong and Newton points and the probe's c.  Colengths are counted
 by the colength table (``multiplicities.hilbert_table`` through
 ``kernels.table_column``).
 """
@@ -48,6 +50,23 @@ def natural(value, what):
     if v < 0 or v != value or isinstance(value, bool):
         raise ValueError(f"{what} must be a natural number, got {value!r}")
     return v
+
+
+def rational(value, what):
+    """value as a Fraction: ints and Fractions read as they are, a finite
+    float exactly; True, "1/2", nan and inf are a ValueError, not counted
+    or parsed.  Text is parsed before a library call (the CLI's
+    ``serialize.parse_frac``)."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    if not isinstance(value, (bool, str)):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be a finite rational, got {value!r}")
 
 
 def _natural_vector(v, n):
@@ -113,7 +132,7 @@ def newton_membership(ideal, point):
     """
     from .simplex import feasible  # deferred: simplex needs only errors
 
-    q = tuple(Fraction(x) for x in point)
+    q = tuple(rational(x, "each coordinate") for x in point)
     if len(q) != ideal.n:
         raise DimensionMismatchError(
             f"point has length {len(q)}, expected {ideal.n}")

@@ -8,15 +8,17 @@ has one normal fan for every k > 0, so one double description and one
 triangulation per ideal serve every k.  The bivariate colength table
 L(r, t) = colength(m^r * J^t) certifies the sequence: past a finite base
 it agrees with a polynomial of total degree n, and the mixed finite
-difference of order (n-j, j) is then constantly e_j.  Generic slices of
+difference of order (n-j, j) is then constantly e_j.  The fit tries
+bases chosen from the generator degrees, one cell counter serving them
+all, so no cell and no power J^t is counted twice.  Generic slices of
 monomial ideals are not monomial, so this bivariate characterization
 replaces slicing; the diagonal closed form cross-checks both routes.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import comb, gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from . import kernels
 from .errors import (
@@ -27,8 +29,12 @@ from .errors import (
 )
 from .lattice import is_isolated_zero, natural
 
-#: Hilbert fitting retries doubling the base up to this bound.
+#: The largest base a fit tries.
 BASE_CAP = 64
+
+#: A fit steps its base by one within this distance of the maximal
+#: generator degree, and doubles it above.
+_STEP_REACH = 3
 
 #: Cap on the total degree of any monomial of a table's J^t and m^r J^t;
 #: the t-fold products grow degrees linearly and this guards blowup.
@@ -65,10 +71,11 @@ class MultiplicitySequence:
 class HilbertTable:
     """Colengths L(r, t) on the staircase of cells the fit reads.
 
-    ``values`` maps (r, t) to L for the cells (base + x, base + y) with
-    x, y >= i and x + y <= n + 2i for some diagonal point i < 3: 9, 16, 24
-    and 33 cells for n = 1..4, out of the (window + 1)^2 of the square
-    [base, base + window]^2.  Reading any other cell is an InvariantError.
+    ``values`` maps (r, t) to L, t by t and ascending r, for the cells
+    (base + x, base + y) with x, y >= i and x + y <= n + 2i for some
+    diagonal point i < 3: 9, 16, 24 and 33 cells for n = 1..4, out of the
+    (window + 1)^2 of the square [base, base + window]^2.  Reading any
+    other cell is an InvariantError.
     """
 
     n: int
@@ -121,42 +128,81 @@ def _require_isolated(ideal, what):
         raise NonIsolatedError(f"no isolated zero: {ideal}")
 
 
-def hilbert_table(ideal, base):
-    """Exact colength table of m^r * J^t on the staircase of cells that the
-    order-n differences at the diagonal points read (see HilbertTable); the
-    corner of the square [base, base + window]^2 with the largest r + t,
-    the costliest cells, is never counted.
+class _CellCounter:
+    """Every colength-table cell of one ideal, counted once.
+
+    A fit tries growing bases, and the staircases of nearby bases overlap.
+    The counter keeps each counted cell {(r, t): L} and, for each t from
+    the current base up, the prepared generators of J^t, so a table at a
+    new base counts only the cells it adds.  J^t for a new t is one
+    product of J^(t-1) with J when that power is kept, and a
+    square-and-multiply power otherwise (the first column, and after the
+    base doubles).
 
     With an isolated zero every axis needs a pure power of its own, so the
     ideal is diagonal exactly when it has n minimal generators; its weights
     are their degrees, and a per-axis aggregated count gives each cell.
     Everything else counts the complement of the implicit cut family built
-    from minimal generators of J^t, one column of the staircase per t, so
+    from minimal generators of J^t, the new rs of one column per call, so
     the product ideal itself is never materialized.
     """
+
+    def __init__(self, ideal):
+        _require_isolated(ideal, "colength table")
+        self.ideal = ideal
+        # t by t, ascending r: the order of every table's values
+        self.offsets = sorted(_staircase(ideal.n), key=itemgetter(1, 0))
+        self.weights = tuple(sorted(map(sum, ideal.generators))) \
+            if len(ideal.generators) == ideal.n else None
+        self.cells = {}
+        self.powers = {}
+
+    def table(self, base):
+        wanted = [(base + x, base + y) for x, y in self.offsets]
+        # bases only grow, so no later table reads a column below this one
+        self.powers = {t: p for t, p in self.powers.items() if t >= base}
+        new = [c for c in wanted if c not in self.cells]
+        if self.weights is not None:
+            for r, t in new:
+                self.cells[r, t] = kernels.diagonal_cell(self.weights, r, t)
+        else:
+            for t, column in groupby(new, key=itemgetter(1)):
+                rs = [r for r, _ in column]
+                self.cells.update(zip(
+                    [(r, t) for r in rs],
+                    kernels.table_column(self._power(t), rs, self.ideal.n)))
+        table = HilbertTable(n=self.ideal.n, base=base,
+                             values={c: self.cells[c] for c in wanted})
+        _check_strictly_increasing(table)
+        return table
+
+    def _power(self, t):
+        if t not in self.powers:
+            gens, n = self.ideal.generators, self.ideal.n
+            if t - 1 in self.powers:
+                power = kernels.product_minimal(
+                    self.powers[t - 1].gens, gens, n, MAX_TOTAL_DEGREE)
+            else:
+                power = kernels.power_minimal(gens, t, n, MAX_TOTAL_DEGREE)
+            self.powers[t] = kernels.prepare_power(power)
+        return self.powers[t]
+
+
+def hilbert_table(ideal, base, _counter=None):
+    """Exact colength table of m^r * J^t on the staircase of cells that the
+    order-n differences at the diagonal points read (see HilbertTable); the
+    corner of the square [base, base + window]^2 with the largest r + t,
+    the costliest cells, is never counted.
+
+    One ``_CellCounter`` counts every table.  ``fit_multiplicities`` passes
+    the counter it keeps for its ideal as ``_counter``, so the tables at
+    the bases it tries share their cells; without one, the table is
+    counted from scratch.
+    """
     base = natural(base, "table base")
-    _require_isolated(ideal, "colength table")
-    n = ideal.n
-    cells = _staircase(n)
-    if len(ideal.generators) == n:
-        a = tuple(sorted(map(sum, ideal.generators)))
-        values = {(base + x, base + y): kernels.diagonal_cell(
-            a, base + x, base + y) for x, y in cells}
-    else:
-        gens_t = kernels.power_minimal(
-            ideal.generators, base, n, MAX_TOTAL_DEGREE)
-        values = {}
-        for y in range(n + _POINTS):
-            if y:
-                gens_t = kernels.product_minimal(
-                    gens_t, ideal.generators, n, MAX_TOTAL_DEGREE)
-            # one column per t, every r of the staircase at once
-            rs = sorted(base + x for x, q in cells if q == y)
-            values.update(zip([(r, base + y) for r in rs],
-                              kernels.table_column(gens_t, rs, n)))
-    table = HilbertTable(n=n, base=base, values=values)
-    _check_strictly_increasing(table)
-    return table
+    if _counter is None:
+        _counter = _CellCounter(ideal)
+    return _counter.table(base)
 
 
 def _check_strictly_increasing(table):
@@ -169,14 +215,14 @@ def _check_strictly_increasing(table):
             raise InvariantError("table not increasing in r")
 
 
-def _mixed_difference(table, r0, t0, dr, dt):
-    total = 0
-    for p in range(dr + 1):
-        for q in range(dt + 1):
-            sign = -1 if (dr - p + dt - q) % 2 else 1
-            total += sign * comb(dr, p) * comb(dt, q) * table.cell(
-                r0 + p, t0 + q)
-    return total
+def _stencil(dr, dt):
+    """(p, q, signed binomial) of the mixed difference of order (dr, dt)."""
+    return tuple((p, q, (-1) ** (dr - p + dt - q) * comb(dr, p) * comb(dt, q))
+                 for p in range(dr + 1) for q in range(dt + 1))
+
+
+def _mixed_difference(table, r0, t0, stencil):
+    return sum(c * table.cell(r0 + p, t0 + q) for p, q, c in stencil)
 
 
 @dataclass(frozen=True)
@@ -187,36 +233,53 @@ class FitResult:
     table: HilbertTable
 
 
+def _bases(ideal):
+    """The bases a fit tries, in order: from the larger of e_1 and
+    _STEP_REACH below the maximal generator degree, up by one while below
+    _STEP_REACH above it, then doubling up to BASE_CAP.  The smallest
+    accepting base follows the degrees (regularity of powers is eventually
+    linear: Cutkosky-Herzog-Trung 1999, Kodiyalam 2000)."""
+    degrees = [sum(g) for g in ideal.generators]
+    top = max(degrees)
+    base = min(max(min(degrees), top - _STEP_REACH), BASE_CAP)
+    yield base
+    while base < BASE_CAP:
+        base = base + 1 if base < top + _STEP_REACH else min(2 * base,
+                                                             BASE_CAP)
+        yield base
+
+
 def fit_multiplicities(ideal):
     """Multiplicity sequence from the mixed covolumes, certified by the table.
 
     ``mixed_covolumes`` gives e.  The colength table certifies it: a base
     is accepted when the differences of order (n-j, j), j = 0..n, at
-    three consecutive diagonal points all equal e.  The base starts at the
-    maximal generator degree and doubles up to the cap.  There, differences
-    that agree with each other but not with the covolumes raise
-    InvariantError, and differences that do not agree raise
-    UnstableFitError, a ResourceCapError.
+    three consecutive diagonal points all equal e.  The bases come from
+    ``_bases``: one at a time near the maximal generator degree, then
+    doubling up to the cap, with one cell counter for all of them, so each
+    cell and each J^t is counted once.  At the cap, differences that agree
+    with each other but not with the covolumes raise InvariantError, and
+    differences that do not agree raise UnstableFitError, a
+    ResourceCapError.  The returned or raised table is the staircase at
+    the last base tried.
     """
     e = mixed_covolumes(ideal)
     n = ideal.n
-    base = min(max(sum(g) for g in ideal.generators), BASE_CAP)
-    while True:
-        table = hilbert_table(ideal, base)
-        diffs = [tuple(_mixed_difference(table, base + i, base + i, n - j, j)
-                       for j in range(n + 1))
+    stencils = [_stencil(n - j, j) for j in range(n + 1)]
+    counter = _CellCounter(ideal)
+    for base in _bases(ideal):
+        table = hilbert_table(ideal, base, counter)
+        diffs = [tuple(_mixed_difference(table, base + i, base + i, s)
+                       for s in stencils)
                  for i in range(_POINTS)]
         if all(d == e for d in diffs):
             return FitResult(MultiplicitySequence(e), table)
-        if base >= BASE_CAP:
-            if all(d == diffs[0] for d in diffs):
-                raise InvariantError(
-                    f"stable table differences {list(diffs[0])} disagree "
-                    f"with the mixed covolumes {list(e)} for {ideal}")
-            raise UnstableFitError(
-                f"no stable fit up to base {BASE_CAP} for {ideal}",
-                table=table)
-        base = min(base * 2, BASE_CAP)
+    if all(d == diffs[0] for d in diffs):
+        raise InvariantError(
+            f"stable table differences {list(diffs[0])} disagree "
+            f"with the mixed covolumes {list(e)} for {ideal}")
+    raise UnstableFitError(
+        f"no stable fit up to base {BASE_CAP} for {ideal}", table=table)
 
 
 def mixed_multiplicities(ideal):

@@ -17,7 +17,7 @@ from functools import reduce
 from math import inf, isfinite
 
 from .errors import DegenerateMinorantError, InvariantError, UnitIdealError
-from .lattice import is_isolated_zero
+from .lattice import is_isolated_zero, rational
 from .simplex import OPTIMAL, solve_min
 
 _ZERO = Fraction(0)
@@ -49,7 +49,7 @@ def refined_lelong(ideal, x):
     Positively homogeneous of degree 1 and concave on the positive orthant.
     Returns 0 with a warning for the unit ideal.
     """
-    x = tuple(Fraction(v) for v in x)
+    x = tuple(rational(v, "each coordinate") for v in x)
     if len(x) != ideal.n:
         raise ValueError(f"point has length {len(x)}, expected {ideal.n}")
     if any(v < 0 for v in x):
@@ -141,7 +141,7 @@ def howald_lct(ideal):
 def diagonal_lct(weights):
     """Threshold of a diagonal ideal: the sum of inverse weights, each a
     positive rational."""
-    a = tuple(Fraction(w) for w in weights)
+    a = tuple(rational(w, "each weight") for w in weights)
     if not a:
         raise ValueError("need at least one weight")
     if any(w <= 0 for w in a):
@@ -210,7 +210,7 @@ def numeric_integrability_probe(ideal, c, config=ProbeConfig()):
 
     if ideal.is_unit:
         raise UnitIdealError("probe undefined for the unit ideal")
-    c = Fraction(c)
+    c = rational(c, "c")
     if c <= 0:
         raise ValueError("c must be positive")
     n = ideal.n

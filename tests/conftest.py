@@ -46,7 +46,8 @@ def colength(ideal):
     every cut at the generator's own degree."""
     from lctk import kernels
 
-    return kernels.table_column(ideal.generators, [0], ideal.n)[0]
+    return kernels.table_column(
+        kernels.prepare_power(ideal.generators), [0], ideal.n)[0]
 
 
 def colength_of_product(ideal, t, r):

@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lctk import kernels
@@ -276,6 +276,30 @@ class TestGuard:
         assert kernels._compiled_ok_terms(terms, 3)
         assert kernels._compiled_ok_terms([((0, 0), 0)], 2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(cut_families(), st.sampled_from(
+        [0, 1, 2, 7, TOP_N4, TOP_N4 + 1, kernels._MAX_COORD]))
+    def test_prepared_guard_matches_terms_guard(self, family, r):
+        # table_column's O(1) guard on a prepared power picks the lane that
+        # the per-term scan picks on the column's terms at its largest r
+        gens = [mu for mu, _ in family[0]]
+        n = family[1]
+        assume(gens)
+        terms = [(g, sum(g) + r) for g in gens]
+        with mock.patch.object(kernels, "_compiled", object()):
+            assert kernels._column_ok(kernels.prepare_power(gens), r, n) \
+                == kernels._compiled_ok_terms(terms, n)
+
+    @pytest.mark.parametrize("k, r, admitted", [
+        (TOP_N4, 0, True), (TOP_N4, 1, False), (TOP_N4 - 1, 1, True),
+        (TOP_N4 + 1, 0, False)])
+    def test_prepared_guard_at_the_n4_limit(self, compiled_present, k, r,
+                                            admitted):
+        gens = [axis_term(4, axis, k, 0)[0] for axis in range(4)]
+        terms = [(g, sum(g) + r) for g in gens]
+        assert kernels._column_ok(kernels.prepare_power(gens), r, 4) \
+            == kernels._compiled_ok_terms(terms, 4) == admitted
+
     def test_empty_terms(self, compiled_present):
         assert seed_cover_bound([], 2) is None
         assert not kernels._compiled_ok_terms([], 2)
@@ -312,7 +336,8 @@ class TestTableColumn:
             for t in (1, 2, 3):
                 power = kernels.power_minimal(ideal.generators, t, n, 512)
                 rs = range(t, t + n + 3)
-                assert kernels.table_column(power, rs, n) == [
+                assert kernels.table_column(
+                        kernels.prepare_power(power), rs, n) == [
                     py.count_cut_complement(
                         [(g, sum(g) + r) for g in power], n) for r in rs]
 
@@ -327,9 +352,10 @@ class TestTableColumn:
                 return py.count_cut_complement(terms, n)
             return mock.Mock(count_cut_complement=count)
 
-        power = kernels.power_minimal([(2, 0), (1, 1), (0, 3)], 2, 2, 512)
-        want = [py.count_cut_complement([(g, sum(g) + r) for g in power], 2)
+        gens = kernels.power_minimal([(2, 0), (1, 1), (0, 3)], 2, 2, 512)
+        want = [py.count_cut_complement([(g, sum(g) + r) for g in gens], 2)
                 for r in range(6)]
+        power = kernels.prepare_power(gens)
         monkeypatch.setattr(kernels, "_compiled", lane("compiled"))
         monkeypatch.setattr(kernels, "_py", lane("python"))
         # the degrees of J^2 reach 6: at r = 5 a term crosses the limit

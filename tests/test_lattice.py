@@ -19,8 +19,11 @@ from lctk import (
     maximal_ideal,
     newton_membership,
     normalize_generators,
+    numeric_integrability_probe,
+    refined_lelong,
     unit_ideal,
 )
+from lctk.lattice import rational
 
 from conftest import brute_colength, colength, product_ideal
 
@@ -112,6 +115,48 @@ class TestNaturalNumberContract:
     def test_diagonal_lct_needs_a_weight(self):
         with pytest.raises(ValueError, match="need at least one weight"):
             diagonal_lct(())
+
+
+# Every reader of a rational in the threshold layer, fed one value v; each
+# returns what it read for v.
+RATIONAL_READERS = {
+    "diagonal_lct": lambda v: 1 / (diagonal_lct((v,))),
+    "refined_lelong": lambda v: refined_lelong(maximal_ideal(1), (v,)),
+    "newton_membership": lambda v: newton_membership(
+        maximal_ideal(1), (v,)) and v,
+    "lattice.rational": lambda v: rational(v, "v"),
+}
+
+
+class TestRationalContract:
+    @pytest.mark.parametrize("reader", sorted(RATIONAL_READERS))
+    @pytest.mark.parametrize("value", [
+        True, "3", "1/2", float("nan"), float("inf"), None], ids=repr)
+    def test_rejected(self, reader, value):
+        # not counted or parsed: the CLI parses "p/q" text before a call
+        with pytest.raises(ValueError):
+            RATIONAL_READERS[reader](value)
+
+    @pytest.mark.parametrize("reader", sorted(RATIONAL_READERS))
+    @pytest.mark.parametrize("value", [3, Fraction(3, 2), 1.5], ids=repr)
+    def test_accepted(self, reader, value):
+        assert RATIONAL_READERS[reader](value) == value
+
+    def test_pairs_with_text_or_bool(self):
+        with pytest.raises(ValueError, match="each weight"):
+            diagonal_lct(("3", True))
+        with pytest.raises(ValueError, match="each coordinate"):
+            refined_lelong(normalize_generators([(2, 0), (0, 3)], 2),
+                           ("1/2", True))
+
+    def test_probe_c(self):
+        with pytest.raises(ValueError, match="c must be a finite rational"):
+            numeric_integrability_probe(maximal_ideal(1), "3/4")
+
+    def test_exact_values_kept(self):
+        third = Fraction(1, 3)
+        assert rational(third, "v") is third
+        assert type(rational(3, "v")) is Fraction
 
 
 class TestIsolated:

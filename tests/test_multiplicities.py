@@ -28,6 +28,7 @@ from lctk import (
 from lctk.multiplicities import (
     BASE_CAP,
     MultiplicitySequence,
+    _bases,
     first_multiplicity,
     mixed_covolumes,
 )
@@ -41,6 +42,20 @@ COMPILED_4D = pytest.mark.skipif(
     BACKEND != "compiled",
     reason="4D tables and their explicit-product reference are slow on "
            "the pure lane; 4D parity is covered in test_kernels")
+
+
+def accepts(table, e):
+    """Whether the differences of order (n-j, j) at the three diagonal
+    points of the table all equal e: the fit's acceptance rule."""
+    n, base = table.n, table.base
+
+    def difference(r0, t0, dr, dt):
+        return sum((-1) ** (dr - p + dt - q) * comb(dr, p) * comb(dt, q)
+                   * table.cell(r0 + p, t0 + q)
+                   for p in range(dr + 1) for q in range(dt + 1))
+
+    return all(tuple(difference(base + i, base + i, n - j, j)
+                     for j in range(n + 1)) == tuple(e) for i in range(3))
 
 
 def staircase(n, base):
@@ -107,7 +122,8 @@ class TestHilbertTable:
 
         diag = diagonal_ideal((2, 4))
         for t in range(2, 5):
-            power = kernels.power_minimal(diag.generators, t, 2, 512)
+            power = kernels.prepare_power(
+                kernels.power_minimal(diag.generators, t, 2, 512))
             assert kernels.table_column(power, range(2, 5), 2) == [
                 kernels.diagonal_cell((2, 4), r, t) for r in range(2, 5)]
 
@@ -264,7 +280,10 @@ class TestMixedMultiplicities:
     def test_fit_reports_base_and_table(self):
         fit = fit_multiplicities(CUSP)
         assert fit.mults.e == (1, 2, 6)
-        assert fit.table.base == 3  # the maximal generator degree
+        assert fit.table.base == 2  # e_1, the first base tried
+        # the smallest accepting base is 1, below the schedule's start
+        assert accepts(hilbert_table(CUSP, 1), (1, 2, 6))
+        assert not accepts(hilbert_table(CUSP, 0), (1, 2, 6))
 
     def test_unstable_fit_keeps_last_table(self, monkeypatch):
         from lctk import multiplicities
@@ -313,6 +332,115 @@ class TestMixedMultiplicities:
         from lctk import kiselman_lct, main_bound
 
         assert main_bound(e) <= kiselman_lct(J).c
+
+
+#: Fits that try at least three bases: each step adds cells to the
+#: counter (one diagonal and one generic ideal).
+STEPPING = [
+    diagonal_ideal((3, 4, 5)),
+    normalize_generators([(0, 0, 2), (0, 4, 0), (1, 3, 1), (4, 0, 0)], 3),
+]
+
+
+class TestCellCounter:
+    """One counter per fit: every cell and every J^t is counted once."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Patch the cell kernels and the preparation of each J^t, and
+        record what they count: (r, t) cells and the t of each J^t.  The
+        least degree of J^t is t * e_1."""
+        from lctk import kernels
+
+        cells, powers, e1 = [], [], []
+        table_column = kernels.table_column
+        diagonal_cell = kernels.diagonal_cell
+        prepare_power = kernels.prepare_power
+
+        def column(power, rs, n):
+            t = min(power.degrees) // e1[0]
+            cells.extend((r, t) for r in rs)
+            return table_column(power, rs, n)
+
+        def cell(a, r, t):
+            cells.append((r, t))
+            return diagonal_cell(a, r, t)
+
+        def prepare(gens):
+            powers.append(min(map(sum, gens)) // e1[0])
+            return prepare_power(gens)
+
+        monkeypatch.setattr(kernels, "table_column", column)
+        monkeypatch.setattr(kernels, "diagonal_cell", cell)
+        monkeypatch.setattr(kernels, "prepare_power", prepare)
+
+        def fit(J):
+            e1[:] = [first_multiplicity(J)]
+            cells.clear()
+            powers.clear()
+            return fit_multiplicities(J)
+
+        return fit, cells, powers
+
+    @pytest.mark.parametrize("J", STEPPING, ids=str)
+    def test_each_cell_and_power_counted_once(self, counted, J):
+        fit, cells, powers = counted
+        result = fit(J)
+        bases = list(_bases(J))
+        tried = bases[:bases.index(result.table.base) + 1]
+        assert len(tried) >= 3
+        assert len(cells) == len(set(cells))
+        assert len(powers) == len(set(powers))
+        assert set(cells) == set().union(
+            *(staircase(J.n, b) for b in tried))
+        if len(J.generators) > J.n:
+            assert set(powers) == {t for _, t in cells}
+        else:
+            assert powers == []
+
+    @pytest.mark.parametrize("J", [
+        CUSP, normalize_generators([(2, 0), (1, 1), (0, 3)], 2)], ids=str)
+    def test_whole_schedule_counts_each_cell_once(self, counted,
+                                                  monkeypatch, J):
+        # differences that never agree run the fit through every base
+        from lctk import multiplicities
+
+        fit, cells, powers = counted
+        calls = count()
+        monkeypatch.setattr(multiplicities, "_mixed_difference",
+                            lambda *args: next(calls))
+        with pytest.raises(UnstableFitError):
+            fit(J)
+        assert len(cells) == len(set(cells))
+        assert len(powers) == len(set(powers))
+        assert set(cells) == set().union(
+            *(staircase(J.n, b) for b in _bases(J)))
+
+    @pytest.mark.parametrize("J", STEPPING + [CUSP], ids=str)
+    def test_fit_table_is_the_table_at_its_base(self, J):
+        fit = fit_multiplicities(J)
+        assert fit.table == hilbert_table(J, fit.table.base)
+        assert list(fit.table.values) == sorted(
+            fit.table.values, key=lambda c: (c[1], c[0]))
+
+    @pytest.mark.parametrize("J", STEPPING, ids=str)
+    def test_base_before_the_accepted_one_fails(self, J):
+        fit = fit_multiplicities(J)
+        bases = list(_bases(J))
+        before = bases[bases.index(fit.table.base) - 1]
+        assert accepts(fit.table, fit.mults.e)
+        assert not accepts(hilbert_table(J, before), fit.mults.e)
+
+    @pytest.mark.parametrize("gens, n, bases", [
+        ([(2, 0), (0, 3)], 2, [2, 3, 4, 5, 6, 12, 24, 48, 64]),
+        ([(20, 0), (1, 5), (0, 20)], 2,
+         list(range(17, 24)) + [46, 64]),
+        ([(1, 0), (0, 1)], 2, [1, 2, 3, 4, 8, 16, 32, 64]),
+        ([(70, 0), (0, 70)], 2, [64]),
+    ])
+    def test_schedule(self, gens, n, bases):
+        # from max(e_1, maxdeg - 3), by one below maxdeg + 3, then doubling
+        assert list(_bases(normalize_generators(gens, n))) == bases
 
 
 class TestCovolume:

@@ -40,3 +40,17 @@ def test_resource_caps_are_one_type():
                 if "ResourceCapError" in names and names & subs:
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_kernels_reads_the_environment():
+    # LCTK_PURE_PYTHON picks the kernel lane; nothing else in the package
+    # is configured by an environment variable
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in names or (
+                    isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and names & {a.name for a in node.names}):
+                found.append(path.name)
+    assert set(found) == {"kernels.py"}
