@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
+from .lattice import rational
 from .multiplicities import MultiplicitySequence
 
 _ONE = Fraction(1)
@@ -32,7 +33,7 @@ def _sequence(seq):
 
 def d_membership(t, *, strict=False):
     """Exact membership of a positive vector in the log-convex cone."""
-    t = tuple(Fraction(v) for v in t)
+    t = tuple(rational(v, "each entry") for v in t)
     if any(v <= 0 for v in t):
         raise ValueError("entries must be positive")
     ext = (_ONE,) + t  # t_0 = 1 folds the first inequality into the rest
@@ -45,7 +46,7 @@ def d_membership(t, *, strict=False):
 
 def f_value(t):
     """1/t_1 + t_1/t_2 + ... + t_{n-1}/t_n, exactly."""
-    t = tuple(Fraction(v) for v in t)
+    t = tuple(rational(v, "each entry") for v in t)
     if any(v == 0 for v in t):
         raise ValueError("entries must be nonzero")
     total = _ONE / t[0]
@@ -79,7 +80,7 @@ def compare_geometric_bound(c, e_n, n):
 
     Returns the ordering plus the integer witnesses compared.
     """
-    c = Fraction(c)
+    c = rational(c, "c")
     if c <= 0:
         raise ValueError("c must be positive")
     lhs = c.numerator ** n * e_n
@@ -95,7 +96,7 @@ def compare_mixed_bound(c, e1, e_n, n):
     """
     if n < 2:
         raise ValueError("defined for n >= 2 only")
-    c = Fraction(c)
+    c = rational(c, "c")
     u = c - Fraction(1, e1)
     if u <= 0:
         return LT, (u,)
@@ -128,7 +129,7 @@ def _iroot_floor(x, k):
 
 def root_bracket(x, k, bits):
     """Certified dyadic bracket lo <= x^{1/k} <= hi with denominator 2^bits."""
-    x = Fraction(x)
+    x = rational(x, "the radicand")
     if x < 0:
         raise ValueError("negative radicand")
     scale = 1 << bits
@@ -199,7 +200,7 @@ def derivative_certificates(t):
     At an interior log-convex point, -t_{j-1}/t_j^2 + 1/t_{j+1} <= 0 for
     every j (with t_0 = 1 and the last term dropped at j = n).
     """
-    t = tuple(Fraction(v) for v in t)
+    t = tuple(rational(v, "each entry") for v in t)
     ext = (_ONE,) + t
     out = []
     for j in range(1, len(t) + 1):
@@ -257,7 +258,7 @@ def build_bounds_report(seq, c=None):
     geometric_cmp = mixed_cmp = None
     details = []
     if c is not None:
-        c = Fraction(c)
+        c = rational(c, "c")
         geometric_cmp, gw = compare_geometric_bound(c, e[n], n)
         details.append(("geometric", gw))
         if n >= 2:

@@ -258,7 +258,8 @@ def build_parser():
     parser.add_argument("--csv", metavar="PATH", default=None,
                         help="write per-item CSV rows (sweeps)")
     parser.add_argument("--max-steps", type=int, default=MAX_REDUCTIONS,
-                        help="Buchberger reduction-step cap")
+                        help="cap on the division steps of each order's "
+                        "Buchberger pair loop")
     parser.add_argument("--probe-grid", type=int, default=ProbeConfig.grid,
                         help="quadrature points per axis")
     parser.add_argument("--probe-tolerance", type=float,

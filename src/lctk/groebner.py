@@ -5,22 +5,28 @@ Degenerating a polynomial ideal to the monomial ideal of its leading terms
 can only lower the log canonical threshold, so the exact threshold of the
 initial ideal is a certified lower bound for the threshold of the input.
 
-``buchberger`` stores each basis member once, when it joins the basis, as a
-primitive integer polynomial with its leading monomial, and queues its pairs
-on a heap.  It reduces only the S-pairs that two criteria cannot settle:
-Buchberger's first criterion never queues a pair with coprime leading
-monomials, and his second (chain) criterion drops a pair (i, j) at pop time
-when a third member's leading monomial divides lcm(lm_i, lm_j) and its
-pairs with i and with j are no longer queued (Buchberger 1979; Gebauer and
-Moeller 1988).  The dropped S-polynomial is a combination of the S-pairs
-(i, k) and (k, j), already handled, so the reduced basis is the same.
+One private pair loop, ``_pair_loop``, stores each basis member once, when
+it joins the basis, as a primitive integer polynomial with its leading
+monomial, and queues its pairs on a heap.  It reduces only the S-pairs that
+two criteria cannot settle: Buchberger's first criterion never queues a
+pair with coprime leading monomials, and his second (chain) criterion drops
+a pair (i, j) at pop time when a third member's leading monomial divides
+lcm(lm_i, lm_j) and its pairs with i and with j are no longer queued
+(Buchberger 1979; Gebauer and Moeller 1988).  The dropped S-polynomial is a
+combination of the S-pairs (i, k) and (k, j), already handled, so the
+reduced basis is the same.
 
-One private reducer, ``_reduce``, makes every division step of
-``buchberger`` and ``normal_form``: it keeps the work terms on a heap keyed
-by the order, and instead of dividing by a leading coefficient it scales the
-work by an integer (fraction-free), so no rational number is made inside
-its loop.  ``s_polynomial`` shares buchberger's integer S-polynomial.  The
-basis becomes monic, with rational coefficients, only at the end.
+The leading monomials of the loop's members generate the initial ideal
+(Cox, Little and O'Shea, ch. 2 §5), so ``order_sweep`` reads in(I) from
+them; only ``buchberger`` goes on to the reduced basis, made monic, with
+rational coefficients, at its end.
+
+One private reducer, ``_reduce``, makes every division step of the pair
+loop, ``buchberger`` and ``normal_form``: it keeps the work terms on a heap
+keyed by the order, and instead of dividing by a leading coefficient it
+scales the work by an integer (fraction-free), so no rational number is
+made inside its loop.  ``s_polynomial`` shares the loop's integer
+S-polynomial.
 """
 
 import heapq
@@ -413,21 +419,22 @@ def s_polynomial(f, g, order):
     return _polynomial(f.n, list(work.items()), Fraction(1, den))
 
 
-def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
-    """Reduced Groebner basis: monic, pairwise fully reduced, deterministic.
+def _pair_loop(polys, order, max_reductions):
+    """Buchberger's pair loop: a Groebner basis of the ideal of polys, not
+    a reduced one.
 
     Each input and each nonzero remainder joins the basis once, as a
     primitive integer member (lm, lc, tail); S-polynomials are reduced
-    fraction-free by ``_reduce``, and members become monic rational
-    polynomials only at the end.  Pair selection is the normal strategy: a
-    heap of (lcm total degree, i, j) pops the smallest lcm degree, then
-    insertion order; pairs with coprime leading monomials reduce to zero and
-    are never queued (first criterion), and a popped pair (i, j) is skipped
-    when some other member k has a leading monomial dividing
-    lcm(lm_i, lm_j) and neither (i, k) nor (j, k) is still queued (chain
-    criterion).  The first member for each minimal leading monomial is
-    kept, its tail reduced by the others; the result lists them by
-    decreasing leading monomial.  A negative max_reductions is an error.
+    fraction-free by ``_reduce`` over all members in insertion order.  Pair
+    selection is the normal strategy: a heap of (lcm total degree, i, j)
+    pops the smallest lcm degree, then insertion order; pairs with coprime
+    leading monomials reduce to zero and are never queued (first
+    criterion), and a popped pair (i, j) is skipped when some other member
+    k has a leading monomial dividing lcm(lm_i, lm_j) and neither (i, k)
+    nor (j, k) is still queued (chain criterion).  Every division step
+    counts against max_reductions; a negative cap is an error.  Returns
+    (members, counter, keys): the members in insertion order, the step
+    counter and the memoized heap keys.
     """
     if not polys:
         raise ValueError("need at least one polynomial")
@@ -439,24 +446,24 @@ def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
         raise ValueError("polynomials live in different rings")
     counter = _StepCounter(max_reductions)
     keys = _HeapKeys(order)
-    basis, pairs, queued = [], [], set()
+    basis, lms, pairs, queued = [], [], [], set()
 
     def add(member):
-        lm = member[0]
-        for i, other in enumerate(basis):
-            if any(map(min, other[0], lm)):
-                heapq.heappush(pairs,
-                               (sum(map(max, other[0], lm)), i, len(basis)))
-                queued.add((i, len(basis)))
+        lm, j = member[0], len(basis)
+        for i, other in enumerate(lms):
+            if any(map(min, other, lm)):
+                heapq.heappush(pairs, (sum(map(max, other, lm)), i, j))
+                queued.add((i, j))
         basis.append(member)
+        lms.append(lm)
 
     def chained(i, j):
-        top = tuple(map(max, basis[i][0], basis[j][0]))
+        top = tuple(map(max, lms[i], lms[j]))
         return any(
-            k != i and k != j and all(map(le, g[0], top))
+            k != i and k != j and all(map(le, lm, top))
             and (min(i, k), max(i, k)) not in queued
             and (min(j, k), max(j, k)) not in queued
-            for k, g in enumerate(basis))
+            for k, lm in enumerate(lms))
 
     for p in polys:
         add(_member(p, order))
@@ -469,6 +476,20 @@ def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
                       counter)[0]
         if rem:
             add(_primitive(rem, rem[0][0]))
+    return basis, counter, keys
+
+
+def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
+    """Reduced Groebner basis: monic, pairwise fully reduced, deterministic.
+
+    ``_pair_loop`` builds a Groebner basis; of its members, the first for
+    each minimal leading monomial is kept, its tail reduced by the others
+    (these division steps count against max_reductions too), and made
+    monic with rational coefficients.  The result lists them by
+    decreasing leading monomial.
+    """
+    basis, counter, keys = _pair_loop(polys, order, max_reductions)
+    n = polys[0].n
     minimal = set(kernels.minimalize([g[0] for g in basis], n))
     kept = {}
     for g in basis:
@@ -520,15 +541,18 @@ def order_sweep(polys, orders, *, max_reductions=MAX_REDUCTIONS):
     """Best certificate across several monomial orders.
 
     Every generator must vanish at the origin (a unit in the local ring
-    would trivialize the problem).  Each order gets a reduced Groebner
-    basis, its initial ideal and that ideal's exact threshold c_initial;
-    the orders are ranked by c_initial, largest first, ties to the earlier
-    order in the list.  Only the best-ranked order is fitted (multiplicity
-    sequence and main bound, when its initial ideal has an isolated zero),
-    and the next one when that fit fails.  Only a ResourceCapError of one
-    order is tolerated, from ``buchberger`` or from the fit (an unstable
-    fit is one); any other error propagates, and when every order fails
-    the error of the first order in the list is raised.
+    would trivialize the problem).  Each order gets a Groebner basis from
+    ``_pair_loop``, and its initial ideal is generated by the basis's
+    leading monomials, so no reduced basis is built; max_reductions caps
+    the pair loop's division steps of each order.  Each distinct initial
+    ideal gets its exact threshold c_initial once; the orders are ranked by
+    c_initial, largest first, ties to the earlier order in the list.  Only
+    the best-ranked order is fitted (multiplicity sequence and main bound,
+    when its initial ideal has an isolated zero), and the next one when
+    that fit fails.  Only a ResourceCapError of one order is tolerated,
+    from the pair loop or from the fit (an unstable fit is one); any other
+    error propagates, and when every order fails the error of the first
+    order in the list is raised.
     """
     if not orders:
         raise ValueError("need at least one order")
@@ -537,16 +561,22 @@ def order_sweep(polys, orders, *, max_reductions=MAX_REDUCTIONS):
             "generators must have zero constant term (local ring at 0)")
     errors = {}
     ranked = []
+    lcts = {}
     for i, order in enumerate(orders):
         try:
-            gb = buchberger(polys, order, max_reductions=max_reductions)
+            basis = _pair_loop(polys, order, max_reductions)[0]
         except ResourceCapError as exc:
             errors[i] = exc
             continue
-        j0 = initial_ideal(gb, order)
+        n = polys[0].n
+        j0 = normalize_generators(
+            kernels.minimalize([g[0] for g in basis], n), n)
         if j0.is_unit:
             raise UnitIdealError("the ideal is the unit ideal")
-        ranked.append((thresholds.kiselman_lct(j0).c, i, j0))
+        c = lcts.get(j0.generators)
+        if c is None:
+            c = lcts[j0.generators] = thresholds.kiselman_lct(j0).c
+        ranked.append((c, i, j0))
     ranked.sort(key=lambda r: -r[0])  # stable: ties keep the list order
     for c, i, j0 in ranked:
         mults = None

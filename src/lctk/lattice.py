@@ -8,7 +8,8 @@ programming; all values are immutable.  ``natural`` is the one reader of
 natural numbers: exponents, sequence entries, diagonal weights, table
 bases and the n of JSON input all pass through it.  ``rational`` is the
 one reader of the rationals a library call takes: threshold weights,
-Lelong and Newton points and the probe's c.  Colengths are counted
+Lelong and Newton points, the probe's c, and the vectors, c and radicands
+of ``bounds``.  Colengths are counted
 by the colength table (``multiplicities.hilbert_table`` through
 ``kernels.table_column``).
 """

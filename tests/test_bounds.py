@@ -229,3 +229,33 @@ class TestBoundsReport:
                 build_bounds_report(e)
             with pytest.raises(ValueError):
                 chain_check(e)
+
+
+class TestRationalReaders:
+    """Every rational a bounds call takes is read by ``lattice.rational``:
+    text is not parsed and a bool is not a number."""
+
+    @pytest.mark.parametrize("bad", ["5/6", True])
+    def test_report_c(self, bad):
+        with pytest.raises(ValueError, match="finite rational"):
+            build_bounds_report((1, 2, 6), bad)
+
+    @pytest.mark.parametrize("bad", ["5/6", True])
+    def test_vector_entries(self, bad):
+        for call in (f_value, d_membership, derivative_certificates):
+            with pytest.raises(ValueError, match="finite rational"):
+                call((2, bad))
+
+    @pytest.mark.parametrize("bad", ["5/6", True])
+    def test_comparisons_and_radicand(self, bad):
+        with pytest.raises(ValueError, match="finite rational"):
+            compare_geometric_bound(bad, 6, 2)
+        with pytest.raises(ValueError, match="finite rational"):
+            compare_mixed_bound(bad, 2, 6, 2)
+        with pytest.raises(ValueError, match="finite rational"):
+            root_bracket(bad, 2, 8)
+
+    def test_numbers_read_exactly(self):
+        assert f_value((2, 6)) == f_value((F(2), 6.0)) == F(5, 6)
+        assert build_bounds_report((1, 2, 6), 1) == \
+            build_bounds_report((1, 2, 6), F(1))

@@ -559,17 +559,69 @@ class TestOrderSweep:
     def test_resource_error_of_one_order_is_tolerated(self, monkeypatch):
         from lctk import DegreeCapError, groebner
 
-        real = groebner.buchberger
+        real = groebner._pair_loop
 
-        def capped_for_lex12(polys, order, **kw):
+        def capped_for_lex12(polys, order, max_reductions):
             if order == LEX12:
                 raise DegreeCapError("injected")
-            return real(polys, order, **kw)
+            return real(polys, order, max_reductions)
 
-        monkeypatch.setattr(groebner, "buchberger", capped_for_lex12)
+        monkeypatch.setattr(groebner, "_pair_loop", capped_for_lex12)
         polys = [parse_polynomial("x1^2 + x2^3", 2)]
         cert = order_sweep(polys, [LEX12, LEX21])
         assert (cert.order, cert.c_initial) == (LEX21, F(1, 3))
+
+    def test_one_threshold_lp_per_distinct_initial_ideal(self,
+                                                         monkeypatch):
+        from lctk import thresholds
+
+        real = thresholds.kiselman_lct
+        seen = []
+
+        def counted(ideal):
+            seen.append(ideal.generators)
+            return real(ideal)
+
+        monkeypatch.setattr(thresholds, "kiselman_lct", counted)
+        polys = [parse_polynomial("x1^2 + x2^3", 2)]
+        cert = order_sweep(polys, [LEX21, default_order(2)])
+        # both orders give (x2^3): one LP, and the tie goes to LEX21
+        assert seen == [((0, 3),)]
+        assert (cert.order, cert.c_initial) == (LEX21, F(1, 3))
+
+    def test_no_reduced_basis_is_built(self, monkeypatch):
+        from lctk import groebner
+
+        def refused(*args, **kw):
+            raise AssertionError("the sweep built a reduced basis")
+
+        monkeypatch.setattr(groebner, "buchberger", refused)
+        monkeypatch.setattr(groebner, "initial_ideal", refused)
+        polys = [parse_polynomial("x1^2 + x2^3", 2)]
+        cert = order_sweep(polys, [LEX12, LEX21])
+        assert (cert.order, cert.c_initial) == (LEX12, F(1, 2))
+
+    def test_step_cap_counts_the_pair_loop_only(self):
+        """The sweep makes no tail-reduction steps, so it succeeds below
+        the step count that buchberger needs."""
+        polys, order = seeded_ideal(5, 2), pinned_orders(2)["grevlex"]
+        certified_lct_lower_bound(polys, order, max_reductions=17)
+        with pytest.raises(ResourceCapError):
+            certified_lct_lower_bound(polys, order, max_reductions=16)
+        assert PINNED_BASES[2, 5, "grevlex"][0] == 19
+        with pytest.raises(ResourceCapError):
+            buchberger(polys, order, max_reductions=18)
+
+    @pytest.mark.parametrize("shape, n, seed", [
+        ("seeded", 2, 5), ("seeded", 3, 1),
+        *(("shaped", 2, seed) for seed in range(6)), ("shaped", 3, 7)])
+    def test_initial_ideal_matches_the_reduced_basis(self, shape, n, seed):
+        polys = {"seeded": seeded_ideal, "shaped": shaped_ideal}[shape](
+            seed, n)
+        for order in (*pinned_orders(n).values(),
+                      *oracle_orders(n).values()):
+            assert certified_lct_lower_bound(polys, order).initial == \
+                initial_ideal(buchberger(polys, order), order)
 
 
 class TestOrderSweepFit:
@@ -623,17 +675,17 @@ class TestOrderSweepFit:
             self, monkeypatch):
         from lctk import UnstableFitError, groebner, multiplicities
 
-        real = groebner.buchberger
+        real = groebner._pair_loop
 
-        def capped_for_lex12(polys, order, **kw):
+        def capped_for_lex12(polys, order, max_reductions):
             if order == LEX12:
                 raise ResourceCapError("basis of LEX12")
-            return real(polys, order, **kw)
+            return real(polys, order, max_reductions)
 
         def unstable(ideal):
             raise UnstableFitError("fit of LEX21")
 
-        monkeypatch.setattr(groebner, "buchberger", capped_for_lex12)
+        monkeypatch.setattr(groebner, "_pair_loop", capped_for_lex12)
         monkeypatch.setattr(multiplicities, "mixed_multiplicities",
                             unstable)
         # LEX12 fails first in time, in the basis; LEX21 later, in the fit
