@@ -23,10 +23,23 @@ rational coefficients, at its end.
 
 One private reducer, ``_reduce``, makes every division step of the pair
 loop, ``buchberger`` and ``normal_form``: it keeps the work terms on a heap
-keyed by the order, and instead of dividing by a leading coefficient it
-scales the work by an integer (fraction-free), so no rational number is
-made inside its loop.  ``s_polynomial`` shares the loop's integer
-S-polynomial.
+ordered by the monomial order, and instead of dividing by a leading
+coefficient it scales the work by an integer (fraction-free), so no
+rational number is made inside its loop.  ``s_polynomial`` shares the
+loop's integer S-polynomial.
+
+Inside the engine each monomial is one int, K(e) = kappa(e) * 2^(nW) +
+p(e) (``_Packing``; Bachmann and Schoenemann, ISSAC 1998).  p packs the
+exponents into W-bit fields with a guard bit on top of each, and kappa
+is ``MonomialOrder.key`` read as one number in a mixed radix, so the
+order is still defined in ``key`` alone.  Every key is linear in the
+exponents, so K is additive: comparing two monomials is comparing two
+ints, a shifted term is one add, and a divisibility test is one subtract
+and one mask.  A run's fields hold exponents up to 2^(n * bitlen(top) +
+16) - 1, top its largest input exponent; a monomial formed past that
+sets a guard bit and raises ``ResourceCapError``, so no run returns a
+wrong answer.  Monomials are tuples again at the boundary: the members
+of ``Polynomial`` results and the leading monomials a sweep reads.
 """
 
 import heapq
@@ -35,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
 from numbers import Real
-from operator import add, le, mul, sub
+from operator import mul
 
 from . import bounds, kernels, multiplicities, thresholds
 from .errors import (
@@ -43,7 +56,12 @@ from .errors import (
     ResourceCapError,
     UnitIdealError,
 )
-from .lattice import is_isolated_zero, normalize_generators
+from .lattice import (
+    is_isolated_zero,
+    natural,
+    normalize_generators,
+    rational,
+)
 
 #: Default cap on division steps inside one Buchberger run.
 MAX_REDUCTIONS = 100_000
@@ -52,10 +70,18 @@ MAX_REDUCTIONS = 100_000
 #: multipliers since the last division exceed this many bits.
 _CONTENT_BITS = 64
 
+#: A run's exponent fields hold this many bits beyond n times the bit
+#: length of its largest input exponent (see ``_Packing``).
+_HEADROOM_BITS = 16
+
 
 @dataclass
 class Polynomial:
-    """Term map from exponent tuple to nonzero rational coefficient."""
+    """Term map from exponent tuple to nonzero rational coefficient.
+
+    Construction reads n and each exponent with ``lattice.natural`` and
+    each coefficient with ``lattice.rational``, and stores ints and
+    Fractions."""
 
     n: int
     terms: dict
@@ -63,11 +89,16 @@ class Polynomial:
     def __post_init__(self):
         if not self.terms:
             raise ValueError("the zero polynomial is not representable")
+        n = natural(self.n, "the number of variables")
+        terms = {}
         for mono, coeff in self.terms.items():
-            if len(mono) != self.n:
+            if len(mono) != n:
                 raise ValueError(f"term {mono} has wrong arity")
+            coeff = rational(coeff, "each coefficient")
             if coeff == 0:
                 raise ValueError("zero coefficient stored")
+            terms[tuple(natural(e, "each exponent") for e in mono)] = coeff
+        self.n, self.terms = n, terms
 
     def constant_term(self):
         return self.terms.get((0,) * self.n, Fraction(0))
@@ -128,7 +159,9 @@ class MonomialOrder:
         """Sort key, one flat tuple of integers: larger key means larger
         monomial.  It lists the integer weight (weighted orders), then
         the tie: the exponents in precedence order (lex), or the degree
-        and the negated exponents in reverse precedence order (grevlex)."""
+        and the negated exponents in reverse precedence order (grevlex).
+        Every entry is linear in the exponents; ``_Packing`` relies on
+        it."""
         n = len(mono)
         p = self.precedence
         if p is None:
@@ -271,17 +304,55 @@ class _StepCounter:
             raise ResourceCapError("reduction step cap exceeded")
 
 
-class _HeapKeys(dict):
-    """The negated ``order.key``, memoized for one run: the smallest heap
-    key is the largest monomial."""
+class _Packing:
+    """One run's monomial encoding: each exponent vector e as the int
+    K(e) = kappa(e) * 2^(nW) + p(e).
 
-    def __init__(self, order):
-        super().__init__()
-        self.order = order
+    p(e) puts e_i into the low bits of the i-th W-bit field, W = bits + 1,
+    whose top bit is a guard, so a field holds exponents up to ``bound`` =
+    2^bits - 1.  kappa(e) is ``order.key(e)`` read as one number in a
+    mixed radix, first entry most significant, each radix larger than the
+    spread of its entry over exponents up to bound; so comparing K is
+    comparing keys.  Every key is linear in e, so K(e) = sum(e_i *
+    K(unit_i)), and a shift by x^s adds K(s).
 
-    def __missing__(self, mono):
-        key = self[mono] = tuple(-x for x in self.order.key(mono))
-        return key
+    Valid ints keep every guard bit clear, and L divides K exactly when
+    ((K | guard) - L) & guard == guard: no field borrows from the next,
+    and a field keeps its guard bit unless it goes below zero.  A sum of
+    two valid monomials sets the guard bit of each field past bound; the
+    engine tests each monomial it forms before storing it, and raises
+    ``ResourceCapError`` at the first one past bound.
+    """
+
+    __slots__ = ("n", "bound", "shifts", "units", "guard", "ones")
+
+    def __init__(self, order, n, bits):
+        width = bits + 1
+        self.n, self.bound = n, (1 << bits) - 1
+        self.shifts = tuple(range(0, n * width, width))
+        self.guard = sum(1 << (s + bits) for s in self.shifts)
+        self.ones = sum(1 << s for s in self.shifts)
+        keys = [order.key(tuple(int(i == k) for i in range(n)))
+                for k in range(n)]
+        units = [1 << s for s in self.shifts]
+        radix = 1 << (n * width)
+        # entry j of every unit's key, from the last entry up to the first
+        for column in reversed(list(zip(*keys))):
+            for k, c in enumerate(column):
+                units[k] += c * radix
+            radix *= sum(map(abs, column)) * self.bound + 1
+        self.units = units
+
+    def encode(self, mono):
+        return sum(map(mul, mono, self.units))
+
+    def decode(self, key):
+        bound = self.bound
+        return tuple(key >> s & bound for s in self.shifts)
+
+    def overflow(self):
+        return ResourceCapError(
+            f"an exponent passed {self.bound}, the field width of this run")
 
 
 def _integer(terms):
@@ -292,10 +363,11 @@ def _integer(terms):
 
 
 def _primitive(terms, lm):
-    """The member (lm, lc, tail) of sum(c * x^m for m, c in terms), whose
-    leading monomial is lm: its integer multiple with coprime coefficients
-    and lc > 0, the other terms in tail as (mono, coeff) pairs."""
-    tail = dict(_integer(terms)[0])
+    """The member (lm, lc, tail) of sum(c * x^m for m, c in terms), with
+    integer c and leading monomial lm: its multiple with coprime
+    coefficients and lc > 0, the other terms in tail as (mono, coeff)
+    pairs."""
+    tail = dict(terms)
     lc = tail.pop(lm)
     content = gcd(lc, *tail.values())
     if lc < 0:
@@ -304,18 +376,35 @@ def _primitive(terms, lm):
             tuple((m, c // content) for m, c in tail.items()))
 
 
-def _member(poly, order):
-    return _primitive(poly.terms.items(), leading_monomial(poly, order))
+def _encoded(poly, pack):
+    return [(pack.encode(m), c) for m, c in poly.terms.items()]
 
 
-def _polynomial(n, terms, factor):
+def _member(poly, pack):
+    terms = _integer(_encoded(poly, pack))[0]
+    return _primitive(terms, max(m for m, _ in terms))
+
+
+def _polynomial(pack, terms, factor):
     """The Polynomial sum(c * factor * x^m), or None for no terms."""
     if not terms:
         return None
-    return Polynomial(n, {m: c * factor for m, c in terms})
+    return Polynomial(pack.n, {pack.decode(m): c * factor
+                               for m, c in terms})
 
 
-def _reduce(work, members, keys, counter):
+def _packing(order, polys):
+    """The ``_Packing`` of a run over polys, which share one ring: its
+    fields hold n * bitlen(top) + ``_HEADROOM_BITS`` bits, where top is
+    the largest input exponent."""
+    n = polys[0].n
+    if any(p.n != n for p in polys):
+        raise ValueError("polynomials live in different rings")
+    top = max((e for p in polys for m in p.terms for e in m), default=0)
+    return _Packing(order, n, n * top.bit_length() + _HEADROOM_BITS)
+
+
+def _reduce(work, members, pack, counter):
     """Full division of the integer polynomial ``work`` (a dict, consumed)
     by the (lm, lc, tail) members, fraction-free.
 
@@ -329,18 +418,20 @@ def _reduce(work, members, keys, counter):
     (mono, coeff) by decreasing monomial, and times num / den it is the
     rational remainder.
     """
-    heap = [(keys[m], m) for m in work]
+    guard = pack.guard
+    heap = [-m for m in work]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     rem = {}
     num = den = grown = 1
     while heap:
-        mono = pop(heap)[1]
+        mono = -pop(heap)
         c = work.pop(mono, 0)
         if not c:
             continue
+        q = mono | guard
         for lm, lc, tail in members:
-            if all(map(le, lm, mono)):
+            if (q - lm) & guard == guard:
                 break
         else:
             rem[mono] = c
@@ -357,13 +448,15 @@ def _reduce(work, members, keys, counter):
             for m in rem:
                 rem[m] *= a
         b = c // d
-        shift = tuple(map(sub, mono, lm))
+        shift = mono - lm
         for m, gc in tail:
-            m = tuple(map(add, m, shift))
+            m += shift
             v = work.get(m)
             if v is None:
+                if m & guard:
+                    raise pack.overflow()
                 work[m] = -b * gc
-                push(heap, (keys[m], m))
+                push(heap, -m)
             else:
                 v -= b * gc
                 if v:
@@ -382,16 +475,18 @@ def _reduce(work, members, keys, counter):
     return list(rem.items()), num, den
 
 
-def _s_work(f, g):
-    """(work, den): the S-polynomial of two members is work / den."""
+def _s_work(f, g, top, pack):
+    """(work, den): the S-polynomial of two members, whose leading
+    monomials have the lcm top, is work / den."""
     (lf, cf, tf), (lg, cg, tg) = f, g
-    top = tuple(map(max, lf, lg))
     d = gcd(cf, cg)
     work = {}
     for lm, tail, factor in ((lf, tf, cg // d), (lg, tg, -(cf // d))):
-        shift = tuple(map(sub, top, lm))
+        shift = top - lm
         for m, c in tail:
-            m = tuple(map(add, m, shift))
+            m += shift
+            if m & pack.guard:
+                raise pack.overflow()
             v = work.get(m, 0) + factor * c
             if v:
                 work[m] = v
@@ -406,17 +501,21 @@ def normal_form(poly, basis, order):
     Deterministic: always reduces the currently largest monomial by the
     first divisor in basis order.  Returns None for a zero remainder.
     """
-    work, scale = _integer(poly.terms.items())
-    rem, num, den = _reduce(dict(work), [_member(g, order) for g in basis],
-                            _HeapKeys(order), None)
-    return _polynomial(poly.n, rem, Fraction(num, scale * den))
+    pack = _packing(order, [poly, *basis])
+    work, scale = _integer(_encoded(poly, pack))
+    rem, num, den = _reduce(dict(work), [_member(g, pack) for g in basis],
+                            pack, None)
+    return _polynomial(pack, rem, Fraction(num, scale * den))
 
 
 def s_polynomial(f, g, order):
     """x^a f / lc(f) - x^b g / lc(g), the shifts taking both leading
     monomials to their lcm; None when it cancels to zero."""
-    work, den = _s_work(_member(f, order), _member(g, order))
-    return _polynomial(f.n, list(work.items()), Fraction(1, den))
+    pack = _packing(order, [f, g])
+    a, b = _member(f, pack), _member(g, pack)
+    top = pack.encode(map(max, pack.decode(a[0]), pack.decode(b[0])))
+    work, den = _s_work(a, b, top, pack)
+    return _polynomial(pack, list(work.items()), Fraction(1, den))
 
 
 def _pair_loop(polys, order, max_reductions):
@@ -424,59 +523,65 @@ def _pair_loop(polys, order, max_reductions):
     a reduced one.
 
     Each input and each nonzero remainder joins the basis once, as a
-    primitive integer member (lm, lc, tail); S-polynomials are reduced
-    fraction-free by ``_reduce`` over all members in insertion order.  Pair
-    selection is the normal strategy: a heap of (lcm total degree, i, j)
-    pops the smallest lcm degree, then insertion order; pairs with coprime
-    leading monomials reduce to zero and are never queued (first
-    criterion), and a popped pair (i, j) is skipped when some other member
-    k has a leading monomial dividing lcm(lm_i, lm_j) and neither (i, k)
-    nor (j, k) is still queued (chain criterion).  Every division step
-    counts against max_reductions; a negative cap is an error.  Returns
-    (members, counter, keys): the members in insertion order, the step
-    counter and the memoized heap keys.
+    primitive integer member (lm, lc, tail) on the run's ``_Packing``;
+    S-polynomials are reduced fraction-free by ``_reduce`` over all
+    members in insertion order.  Pair selection is the normal strategy: a
+    heap of (lcm total degree, i, j) pops the smallest lcm degree, then
+    insertion order; pairs with coprime leading monomials reduce to zero
+    and are never queued (first criterion), and a popped pair (i, j) is
+    skipped when some other member k has a leading monomial dividing
+    lcm(lm_i, lm_j) and neither (i, k) nor (j, k) is still queued (chain
+    criterion).  Each heap entry carries its encoded lcm.  Every division
+    step counts against max_reductions; a negative cap is an error.
+    Returns (members, counter, pack): the members in insertion order, the
+    step counter and the packing.
     """
     if not polys:
         raise ValueError("need at least one polynomial")
     if max_reductions < 0:
         raise ValueError(
             f"max_reductions must be nonnegative, got {max_reductions}")
-    n = polys[0].n
-    if any(p.n != n for p in polys):
-        raise ValueError("polynomials live in different rings")
+    pack = _packing(order, polys)
+    guard, ones = pack.guard, pack.ones
     counter = _StepCounter(max_reductions)
-    keys = _HeapKeys(order)
-    basis, lms, pairs, queued = [], [], [], set()
+    basis, lms, exps, supports, pairs, queued = [], [], [], [], [], set()
 
     def add(member):
         lm, j = member[0], len(basis)
-        for i, other in enumerate(lms):
-            if any(map(min, other, lm)):
-                heapq.heappush(pairs, (sum(map(max, other, lm)), i, j))
+        e = pack.decode(lm)
+        # the guard bits of the fields where lm has a nonzero exponent
+        support = ((lm | guard) - ones) & guard
+        for i, other in enumerate(exps):
+            if support & supports[i]:
+                top = tuple(map(max, other, e))
+                heapq.heappush(pairs, (sum(top), i, j, pack.encode(top)))
                 queued.add((i, j))
         basis.append(member)
         lms.append(lm)
+        exps.append(e)
+        supports.append(support)
 
-    def chained(i, j):
-        top = tuple(map(max, lms[i], lms[j]))
-        return any(
-            k != i and k != j and all(map(le, lm, top))
-            and (min(i, k), max(i, k)) not in queued
-            and (min(j, k), max(j, k)) not in queued
-            for k, lm in enumerate(lms))
+    def chained(i, j, top):
+        q = top | guard
+        for k, lm in enumerate(lms):
+            if ((q - lm) & guard == guard and k != i and k != j
+                    and (min(i, k), max(i, k)) not in queued
+                    and (min(j, k), max(j, k)) not in queued):
+                return True
+        return False
 
     for p in polys:
-        add(_member(p, order))
+        add(_member(p, pack))
     while pairs:
-        _, i, j = heapq.heappop(pairs)
+        _, i, j, top = heapq.heappop(pairs)
         queued.discard((i, j))
-        if chained(i, j):
+        if chained(i, j, top):
             continue
-        rem = _reduce(_s_work(basis[i], basis[j])[0], basis, keys,
-                      counter)[0]
+        rem = _reduce(_s_work(basis[i], basis[j], top, pack)[0], basis,
+                      pack, counter)[0]
         if rem:
             add(_primitive(rem, rem[0][0]))
-    return basis, counter, keys
+    return basis, counter, pack
 
 
 def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
@@ -488,12 +593,12 @@ def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
     monic with rational coefficients.  The result lists them by
     decreasing leading monomial.
     """
-    basis, counter, keys = _pair_loop(polys, order, max_reductions)
-    n = polys[0].n
-    minimal = set(kernels.minimalize([g[0] for g in basis], n))
+    basis, counter, pack = _pair_loop(polys, order, max_reductions)
+    lms = [pack.decode(g[0]) for g in basis]
+    minimal = set(kernels.minimalize(lms, pack.n))
     kept = {}
-    for g in basis:
-        if g[0] in minimal:
+    for e, g in zip(lms, basis):
+        if e in minimal:
             kept.setdefault(g[0], g)
     out = {}
     for lm, (_, lc, tail) in kept.items():
@@ -502,9 +607,9 @@ def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
         if others:
             # the lead survives (leading monomials form an antichain), so
             # this only rewrites the tail
-            terms = _reduce(dict(terms), others, keys, counter)[0]
-        out[lm] = _polynomial(n, terms, Fraction(1, terms[0][1]))
-    return [out[lm] for lm in sorted(out, key=order.key, reverse=True)]
+            terms = _reduce(dict(terms), others, pack, counter)[0]
+        out[lm] = _polynomial(pack, terms, Fraction(1, terms[0][1]))
+    return [out[lm] for lm in sorted(out, reverse=True)]
 
 
 def initial_ideal(gb, order):
@@ -564,13 +669,12 @@ def order_sweep(polys, orders, *, max_reductions=MAX_REDUCTIONS):
     lcts = {}
     for i, order in enumerate(orders):
         try:
-            basis = _pair_loop(polys, order, max_reductions)[0]
+            basis, _, pack = _pair_loop(polys, order, max_reductions)
         except ResourceCapError as exc:
             errors[i] = exc
             continue
-        n = polys[0].n
-        j0 = normalize_generators(
-            kernels.minimalize([g[0] for g in basis], n), n)
+        j0 = normalize_generators(kernels.minimalize(
+            [pack.decode(g[0]) for g in basis], pack.n), pack.n)
         if j0.is_unit:
             raise UnitIdealError("the ideal is the unit ideal")
         c = lcts.get(j0.generators)

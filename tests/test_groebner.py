@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from conftest import ref_buchberger, ref_reduce, ref_s_polynomial
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lctk import (
     MonomialOrder,
@@ -18,6 +21,7 @@ from lctk import (
     order_sweep,
     parse_polynomial,
 )
+from lctk import cli, groebner
 from lctk.groebner import Polynomial, normal_form, s_polynomial
 from lctk.serialize import order_to_dict
 from lctk.report import random_isolated_ideal
@@ -148,6 +152,166 @@ class TestOrders:
             order.key((0, 0))
         with pytest.raises(ValueError, match="expected 2"):
             buchberger([parse_polynomial("x1^2 + x2^3", 2)], order)
+
+
+class TestPolynomialValues:
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="natural number"):
+            Polynomial(2, {(1, -1): 1})
+
+    @pytest.mark.parametrize("coeff", ["3", True, float("nan")])
+    def test_non_rational_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="finite rational"):
+            Polynomial(2, {(1, 0): coeff})
+
+    def test_values_are_stored_exactly(self):
+        p = Polynomial(2, {(2.0, F(1)): 0.5, (0, 3): 2})
+        assert p.terms == {(2, 1): F(1, 2), (0, 3): F(2)}
+        assert all(type(c) is F for c in p.terms.values())
+        assert all(type(e) is int for m in p.terms for e in m)
+        assert normal_form(p, [parse_polynomial("x2^3", 2)], LEX12) == \
+            Polynomial(2, {(2, 1): F(1, 2)})
+
+
+class TestRings:
+    """Every engine entry point refuses polynomials of different rings."""
+
+    def test_normal_form(self):
+        poly = parse_polynomial("x1^2*x2 + x2", 2)
+        with pytest.raises(ValueError, match="different rings"):
+            normal_form(poly, [parse_polynomial("x1*x3^5", 3)],
+                        MonomialOrder("lex"))
+
+    def test_s_polynomial(self):
+        with pytest.raises(ValueError, match="different rings"):
+            s_polynomial(parse_polynomial("x1^2 + x2", 2),
+                         parse_polynomial("x1*x3^5", 3),
+                         MonomialOrder("lex"))
+
+
+@st.composite
+def orders(draw):
+    """(n, order): any kind, every precedence with n <= 3 (or None), and
+    for weighted orders both tiebreaks and int, float or Fraction
+    weights."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["lex", "grevlex", "weighted"]))
+    precedence = draw(st.none() | st.permutations(range(1, n + 1)).map(
+        tuple))
+    if kind != "weighted":
+        return n, MonomialOrder(kind, precedence=precedence)
+    weight = draw(st.sampled_from([
+        st.integers(1, 50), st.floats(0.01, 100),
+        st.fractions(F(1, 50), F(50), max_denominator=50)]))
+    return n, MonomialOrder(
+        "weighted", precedence=precedence,
+        weights=tuple(draw(st.lists(weight, min_size=n, max_size=n))),
+        tiebreak=draw(st.sampled_from(["lex", "grevlex"])))
+
+
+#: The packings below hold exponents up to 2^PACK_BITS - 1, and the
+#: monomials drawn for them reach that bound, where the radices are tight.
+PACK_BITS = 6
+BOUND = 2 ** PACK_BITS - 1
+
+
+@st.composite
+def packed_pairs(draw):
+    """(order, packing, a, b): two monomials a and b whose sum fits."""
+    n, order = draw(orders())
+    exponent = st.sampled_from([0, 1, BOUND - 1, BOUND]) | st.integers(
+        0, BOUND)
+    a = draw(st.tuples(*[exponent] * n))
+    b = tuple(min(y, BOUND - x)
+              for x, y in zip(a, draw(st.tuples(*[exponent] * n))))
+    return order, groebner._Packing(order, n, PACK_BITS), a, b
+
+
+def plus(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+class TestPacking:
+    """The engine's monomial ints against ``MonomialOrder.key``."""
+
+    @given(packed_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_sums(self, case):
+        """key and encode are additive, decode inverts encode, and the
+        one-mask test decides divisibility."""
+        order, pack, a, b = case
+        assert order.key(plus(a, b)) == plus(order.key(a), order.key(b))
+        ka, kb, kab = (pack.encode(m) for m in (a, b, plus(a, b)))
+        assert kab == ka + kb
+        assert pack.decode(kab) == plus(a, b)
+        assert not kab & pack.guard
+        assert ((kab | pack.guard) - ka) & pack.guard == pack.guard
+        divides = all(x <= y for x, y in zip(b, a))
+        assert (((ka | pack.guard) - kb) & pack.guard == pack.guard) == \
+            divides
+
+    @given(packed_pairs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_ints_compare_as_keys(self, case, data):
+        order, pack, a, _ = case
+        # any two monomials in the field, not only a summable pair
+        b = data.draw(st.tuples(*[st.sampled_from([0, BOUND])
+                                  | st.integers(0, BOUND)] * len(a)))
+        ka, kb = pack.encode(a), pack.encode(b)
+        assert (pack.decode(ka), pack.decode(kb)) == (a, b)
+        assert (ka < kb) == (order.key(a) < order.key(b))
+        assert (ka == kb) == (a == b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_field_corners_compare_as_keys(self, n):
+        """Every order kind, precedence, tiebreak and weight type, on all
+        monomials with exponents 0, 1, BOUND - 1 and BOUND: the corners
+        where a radix one too small would flip a comparison."""
+        corners = list(product((0, 1, BOUND - 1, BOUND), repeat=n))
+        weights = [(1, 2, 3), (0.1, 0.2, 0.3), (F(1, 3), F(5, 2), F(7))]
+        for precedence in (None, *permutations(range(1, n + 1))):
+            orders = [MonomialOrder(kind, precedence=precedence)
+                      for kind in ("lex", "grevlex")]
+            orders += [MonomialOrder("weighted", precedence=precedence,
+                                     weights=w[:n], tiebreak=tiebreak)
+                       for w in weights for tiebreak in ("lex", "grevlex")]
+            for order in orders:
+                pack = groebner._Packing(order, n, PACK_BITS)
+                ranked = sorted(corners, key=order.key)
+                assert sorted(corners, key=pack.encode) == ranked
+                assert len({pack.encode(m) for m in corners}) == len(corners)
+
+
+#: A lex run that forms x2^16 from inputs with exponents at most 3: past
+#: 15 = 2^(n * bitlen(3)) - 1, the field with no headroom.
+NEAR_WIDTH = ["x1^3 - 3*x1^2*x2^3", "x2^3 + x1^2*x2^2 + 3*x1^3*x2^3"]
+
+
+class TestFieldGuard:
+    """A monomial formed past its field raises ResourceCapError."""
+
+    def test_reduce_and_s_work(self):
+        pack = groebner._Packing(LEX12, 2, 3)  # exponents up to 7
+        f = groebner._member(parse_polynomial("x1 - x2^3", 2), pack)
+        with pytest.raises(ResourceCapError, match="passed 7"):
+            groebner._reduce({pack.encode((3, 0)): 1}, [f], pack, None)
+        g = groebner._member(parse_polynomial("x1^2*x2^5", 2), pack)
+        with pytest.raises(ResourceCapError, match="passed 7"):
+            groebner._s_work(f, g, pack.encode((2, 5)), pack)
+
+    def test_cli_exits_5(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "n": 2, "polynomials": NEAR_WIDTH,
+            "order": {"kind": "lex", "precedence": [1, 2]}}))
+        assert cli.main(["groebner-bound", str(path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(groebner, "_HEADROOM_BITS", 0)
+        assert cli.main(["groebner-bound", str(path)]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("resource cap: an exponent passed 15")
+        assert "Traceback" not in err
 
 
 class TestBuchberger:
