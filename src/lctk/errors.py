@@ -48,8 +48,10 @@ class DegreeCapError(ResourceCapError):
 
 
 class UnstableFitError(ResourceCapError):
-    """Colength table differences did not stabilize within the base cap;
-    ``table`` is the table at the cap."""
+    """No base a fit tried, stepping by one from min(e_1, b) up to the
+    base cap, certified the sequence, and the colength-table differences
+    at the cap disagree with each other; ``table`` is the table at the
+    cap."""
 
     def __init__(self, message, table=None):
         super().__init__(message)

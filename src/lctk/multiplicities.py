@@ -8,11 +8,12 @@ has one normal fan for every k > 0, so one double description and one
 triangulation per ideal serve every k.  The bivariate colength table
 L(r, t) = colength(m^r * J^t) certifies the sequence: past a finite base
 it agrees with a polynomial of total degree n, and the mixed finite
-difference of order (n-j, j) is then constantly e_j.  The fit tries
-bases chosen from the generator degrees, one cell counter serving them
-all, so no cell and no power J^t is counted twice.  Generic slices of
-monomial ideals are not monomial, so this bivariate characterization
-replaces slicing; the diagonal closed form cross-checks both routes.
+difference of order (n-j, j) is then constantly e_j.  The fit steps its
+base by one from min(e_1, b), b read from the pure powers of J, one cell
+counter serving every base, so no cell and no power J^t is counted
+twice.  Generic slices of monomial ideals are not monomial, so this
+bivariate characterization replaces slicing; the diagonal closed form
+cross-checks both routes.
 """
 
 from dataclasses import dataclass
@@ -31,10 +32,6 @@ from .lattice import is_isolated_zero, natural
 
 #: The largest base a fit tries.
 BASE_CAP = 64
-
-#: A fit steps its base by one within this distance of the maximal
-#: generator degree, and doubles it above.
-_STEP_REACH = 3
 
 #: Cap on the total degree of any monomial of a table's J^t and m^r J^t;
 #: the t-fold products grow degrees linearly and this guards blowup.
@@ -131,13 +128,12 @@ def _require_isolated(ideal, what):
 class _CellCounter:
     """Every colength-table cell of one ideal, counted once.
 
-    A fit tries growing bases, and the staircases of nearby bases overlap.
-    The counter keeps each counted cell {(r, t): L} and, for each t from
-    the current base up, the prepared generators of J^t, so a table at a
-    new base counts only the cells it adds.  J^t for a new t is one
-    product of J^(t-1) with J when that power is kept, and a
-    square-and-multiply power otherwise (the first column, and after the
-    base doubles).
+    A fit steps its base by one, and the staircases of neighbouring bases
+    overlap.  The counter keeps each counted cell {(r, t): L} and, for
+    each t from the current base up, the prepared generators of J^t, so a
+    table at the next base counts only the cells it adds.  The first
+    column of the first table is a square-and-multiply power of J; every
+    later J^t is one product of the kept J^(t-1) with J.
 
     With an isolated zero every axis needs a pure power of its own, so the
     ideal is diagonal exactly when it has n minimal generators; its weights
@@ -234,19 +230,19 @@ class FitResult:
 
 
 def _bases(ideal):
-    """The bases a fit tries, in order: from the larger of e_1 and
-    _STEP_REACH below the maximal generator degree, up by one while below
-    _STEP_REACH above it, then doubling up to BASE_CAP.  The smallest
-    accepting base follows the degrees (regularity of powers is eventually
-    linear: Cutkosky-Herzog-Trung 1999, Kodiyalam 2000)."""
-    degrees = [sum(g) for g in ideal.generators]
-    top = max(degrees)
-    base = min(max(min(degrees), top - _STEP_REACH), BASE_CAP)
-    yield base
-    while base < BASE_CAP:
-        base = base + 1 if base < top + _STEP_REACH else min(2 * base,
-                                                             BASE_CAP)
-        yield base
+    """The bases a fit tries, in order: one at a time from min(e_1, b) up
+    to BASE_CAP, where b = (p_1 - 1) + ... + (p_{n-1} - 1) for the pure
+    powers p_1 <= ... <= p_n of J (b = 0 for n = 1).  m^(b + p_n) lies in
+    (x_1^p_1, ..., x_n^p_n), inside J, and b has the offset shape of the
+    regularity of powers of that complete intersection (Cutkosky-Herzog-
+    Trung 1999, Kodiyalam 2000).  That b accepts is not proved, so the
+    fit climbs past it when it does not.  Some ideals accept well below
+    b, so a smaller e_1 starts the fit: (x^20, x y^5, y^20) accepts at
+    e_1 = 6, with b = 19."""
+    pure = sorted(sum(g) for g in ideal.generators
+                  if g.count(0) == ideal.n - 1)
+    b = sum(p - 1 for p in pure[:-1])
+    return range(min(first_multiplicity(ideal), b, BASE_CAP), BASE_CAP + 1)
 
 
 def fit_multiplicities(ideal):
@@ -255,13 +251,12 @@ def fit_multiplicities(ideal):
     ``mixed_covolumes`` gives e.  The colength table certifies it: a base
     is accepted when the differences of order (n-j, j), j = 0..n, at
     three consecutive diagonal points all equal e.  The bases come from
-    ``_bases``: one at a time near the maximal generator degree, then
-    doubling up to the cap, with one cell counter for all of them, so each
-    cell and each J^t is counted once.  At the cap, differences that agree
-    with each other but not with the covolumes raise InvariantError, and
-    differences that do not agree raise UnstableFitError, a
-    ResourceCapError.  The returned or raised table is the staircase at
-    the last base tried.
+    ``_bases``: one at a time from min(e_1, b) up to the cap, with one
+    cell counter for all of them, so each cell and each J^t is counted
+    once.  At the cap, differences that agree with each other but not
+    with the covolumes raise InvariantError, and differences that do not
+    agree raise UnstableFitError, a ResourceCapError.  The returned or
+    raised table is the staircase at the last base tried.
     """
     e = mixed_covolumes(ideal)
     n = ideal.n

@@ -17,7 +17,7 @@ from operator import mul
 from . import bounds as bounds_mod
 from .bounds import EQ, GT, build_bounds_report, f_value, validate_sequence
 from .errors import NonIsolatedError, ResourceCapError
-from .lattice import is_isolated_zero, normalize_generators
+from .lattice import is_isolated_zero, natural, normalize_generators
 from .multiplicities import (
     covolume_times_factorial,
     first_multiplicity,
@@ -94,7 +94,8 @@ def build_ideal_report(ideal):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parameters of a seeded random verification sweep."""
+    """Parameters of a seeded random verification sweep; dim, max_degree
+    and count are read by ``lattice.natural`` and must be >= 1."""
 
     seed: int = 0
     dim: int = 2
@@ -102,9 +103,11 @@ class RunConfig:
     count: int = 100
 
     def __post_init__(self):
-        if self.dim < 1 or self.count < 1 or self.max_degree < 1:
-            raise ValueError("dim, count and max_degree must be >= 1, got "
-                             f"{self.dim}, {self.count}, {self.max_degree}")
+        for name in ("dim", "max_degree", "count"):
+            value = natural(getattr(self, name), name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
 
 
 def random_isolated_ideal(rng, dim, max_degree):

@@ -17,7 +17,7 @@ from functools import reduce
 from math import inf, isfinite
 
 from .errors import DegenerateMinorantError, InvariantError, UnitIdealError
-from .lattice import is_isolated_zero, rational
+from .lattice import is_isolated_zero, natural, rational
 from .simplex import OPTIMAL, solve_min
 
 _ZERO = Fraction(0)
@@ -181,8 +181,10 @@ class ProbeConfig:
     theta: float = 0.05           # ratio tolerance
 
     def __post_init__(self):
-        if self.grid < 2:
-            raise ValueError(f"probe grid must be >= 2, got {self.grid}")
+        grid = natural(self.grid, "probe grid")
+        if grid < 2:
+            raise ValueError(f"probe grid must be >= 2, got {grid}")
+        object.__setattr__(self, "grid", grid)
         if not 0 <= self.theta < inf:
             raise ValueError(
                 f"probe tolerance must be finite and >= 0, got {self.theta}")

@@ -21,9 +21,9 @@ from lctk import (
     diagonal_ideal,
     diagonal_lct,
     diagonal_mults,
+    fit_multiplicities,
     howald_lct,
     kiselman_lct,
-    mixed_multiplicities,
     normalize_generators,
     numeric_integrability_probe,
     parse_polynomial,
@@ -70,7 +70,7 @@ def diagonal_sweep():
         for a in combinations_with_replacement(range(1, 6), n):
             J = diagonal_ideal(a)
             cert = kiselman_lct(J)
-            fitted = mixed_multiplicities(J)
+            fitted = fit_multiplicities(J)
             results.append((a, J, cert, fitted))
     return results, time.monotonic() - start
 
@@ -108,12 +108,20 @@ def test_criterion_2_diagonal_family(diagonal_sweep):
     for a, J, cert, fitted in results:
         want_e = diagonal_mults(a)
         want_c = diagonal_lct(a)
-        if fitted.e != want_e.e or cert.c != want_c:
+        if fitted.mults.e != want_e.e or cert.c != want_c:
             bad.append(a)
     ok = not bad and elapsed < 300.0
     announce(2, ok, f"{len(results)} diagonal ideals (n <= 4, weights <= 5) "
                     f"fit exactly, {elapsed:.1f}s"
                     + (f"; failures: {bad}" if bad else ""))
+
+
+def test_diagonal_fits_accept_at_b(diagonal_sweep):
+    # every diagonal fit accepts at b = (a_1 - 1) + ... + (a_{n-1} - 1)
+    # for its sorted weights a, never climbing past it
+    results, _ = diagonal_sweep
+    assert [fitted.table.base for _, _, _, fitted in results] == [
+        sum(a[:-1]) - (len(a) - 1) for a, _, _, _ in results]
 
 
 def test_criterion_3_random_verification(random_corpus):
@@ -247,7 +255,7 @@ def test_criterion_9_covolume_cross_check(cusp_report, diagonal_sweep,
         bad += 1
     for a, J, _, fitted in diagonal_sweep[0]:
         checked += 1
-        if covolume_times_factorial(J) != fitted.e[-1]:
+        if covolume_times_factorial(J) != fitted.mults.e[-1]:
             bad += 1
     for J, rep in random_corpus[0]:
         checked += 1

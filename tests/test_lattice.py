@@ -11,6 +11,8 @@ from lctk import (
     EmptyGeneratorsError,
     MultiplicitySequence,
     NonIsolatedError,
+    ProbeConfig,
+    RunConfig,
     diagonal_lct,
     diagonal_mults,
     hilbert_table,
@@ -84,10 +86,14 @@ class TestNormalize:
         assert J1 == J2 == J3
 
 
-# Every reader of a natural number in the multiplicity layer, fed one value
-# v; each returns what it stored for v.  main_bound((1, v)) is 1/v, so its
-# denominator reads e_1.
+# Every reader of a natural number in the multiplicity layer and the run
+# configurations, fed one value v; each returns what it stored for v.
+# main_bound((1, v)) is 1/v, so its denominator reads e_1.
 NATURAL_READERS = {
+    "ProbeConfig.grid": lambda v: ProbeConfig(grid=v).grid,
+    "RunConfig.count": lambda v: RunConfig(count=v).count,
+    "RunConfig.dim": lambda v: RunConfig(dim=v).dim,
+    "RunConfig.max_degree": lambda v: RunConfig(max_degree=v).max_degree,
     "MultiplicitySequence": lambda v: MultiplicitySequence((1, v)).e[1],
     "main_bound": lambda v: main_bound((1, v)).denominator,
     "diagonal_mults": lambda v: diagonal_mults((1, v)).e[2],
@@ -111,6 +117,13 @@ class TestNaturalNumberContract:
     def test_integral_values_stored_as_int(self, reader, value):
         stored = NATURAL_READERS[reader](value)
         assert stored == 2 and type(stored) is int
+
+    @pytest.mark.parametrize("config, field, value", [
+        (RunConfig, "dim", 0), (RunConfig, "max_degree", 0),
+        (RunConfig, "count", 0), (ProbeConfig, "grid", 1)])
+    def test_config_lower_bounds(self, config, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            config(**{field: value})
 
     def test_diagonal_lct_needs_a_weight(self):
         with pytest.raises(ValueError, match="need at least one weight"):

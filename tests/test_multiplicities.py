@@ -280,8 +280,9 @@ class TestMixedMultiplicities:
     def test_fit_reports_base_and_table(self):
         fit = fit_multiplicities(CUSP)
         assert fit.mults.e == (1, 2, 6)
-        assert fit.table.base == 2  # e_1, the first base tried
-        # the smallest accepting base is 1, below the schedule's start
+        # b = 2 - 1 is below e_1 = 2, so the first base tried is 1, the
+        # smallest accepting one
+        assert fit.table.base == 1
         assert accepts(hilbert_table(CUSP, 1), (1, 2, 6))
         assert not accepts(hilbert_table(CUSP, 0), (1, 2, 6))
 
@@ -432,15 +433,45 @@ class TestCellCounter:
         assert not accepts(hilbert_table(J, before), fit.mults.e)
 
     @pytest.mark.parametrize("gens, n, bases", [
-        ([(2, 0), (0, 3)], 2, [2, 3, 4, 5, 6, 12, 24, 48, 64]),
-        ([(20, 0), (1, 5), (0, 20)], 2,
-         list(range(17, 24)) + [46, 64]),
-        ([(1, 0), (0, 1)], 2, [1, 2, 3, 4, 8, 16, 32, 64]),
+        # e_1 = 2 > b = 1
+        ([(2, 0), (0, 3)], 2, range(1, 65)),
+        # e_1 = 6 < b = 19
+        ([(20, 0), (1, 5), (0, 20)], 2, range(6, 65)),
+        # b = 1 - 1 = 0 for the maximal ideal
+        ([(1, 0), (0, 1)], 2, range(0, 65)),
+        # e_1 = 70 and b = 69 are past the cap
         ([(70, 0), (0, 70)], 2, [64]),
+        # b = 0 for n = 1
+        ([(5,)], 1, range(0, 65)),
     ])
     def test_schedule(self, gens, n, bases):
-        # from max(e_1, maxdeg - 3), by one below maxdeg + 3, then doubling
-        assert list(_bases(normalize_generators(gens, n))) == bases
+        # by one from min(e_1, b), b = (p_1 - 1) + ... + (p_{n-1} - 1)
+        assert list(_bases(normalize_generators(gens, n))) == list(bases)
+
+
+def pure_power_offset(J):
+    """b = (p_1 - 1) + ... + (p_{n-1} - 1) for the pure powers
+    p_1 <= ... <= p_n of J."""
+    p = sorted(max(g) for g in J.generators if sum(map(bool, g)) == 1)
+    return sum(p[:-1]) - (J.n - 1)
+
+
+class TestPurePowerCeiling:
+    """On fixed families the fit accepts at b or below.  That b always
+    accepts is not proved, so no search hunts for a counterexample."""
+
+    def test_e1_accepts_below_b(self):
+        J = normalize_generators([(20, 0), (1, 5), (0, 20)], 2)
+        assert pure_power_offset(J) == 19
+        assert fit_multiplicities(J).table.base == 6
+
+    @pytest.mark.parametrize("dim, max_degree, count",
+                             [(2, 12, 40), (3, 6, 30)])
+    def test_seeded_family_accepts_by_b(self, dim, max_degree, count):
+        rng = random.Random(2026)
+        for _ in range(count):
+            J = random_isolated_ideal(rng, dim, max_degree)
+            assert fit_multiplicities(J).table.base <= pure_power_offset(J)
 
 
 class TestCovolume:
