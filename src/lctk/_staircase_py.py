@@ -16,6 +16,8 @@ materializing the product ideal.
 
 import heapq
 from bisect import bisect_right
+from itertools import accumulate
+from operator import sub
 
 from .errors import DegreeCapError, NonIsolatedError
 
@@ -240,11 +242,11 @@ def diagonal_cell(a, r, t):
     s_cap = sum(ai - 1 for ai in a)
     by_sum = [1]
     for ai in a:
-        nxt = [0] * (len(by_sum) + ai - 1)
-        for tot, cnt in enumerate(by_sum):
-            for s in range(ai):
-                nxt[tot + s] += cnt
-        by_sum = nxt
+        # entry x of the next count is the window sum by_sum[x - ai + 1..x],
+        # a difference of two prefix sums: O(S) per weight, not O(S * a_i)
+        acc = [0, *accumulate(by_sum)]
+        by_sum = list(map(sub, acc[1:] + [acc[-1]] * (ai - 1),
+                          [0] * (ai - 1) + acc[:-1]))
     h = [0] * (s_cap + 2)
     acc = 0
     for m_val in range(s_cap + 2):

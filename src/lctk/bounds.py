@@ -139,7 +139,7 @@ def root_bracket(x, k, bits):
     return Fraction(lo, scale), Fraction(hi, scale)
 
 
-def _compare_mixed_vs_geometric(e1, e_n, n, max_bits=4096):
+def _compare_mixed_vs_geometric(e1, e_n, n):
     """Ordering of 1/e_1 + (n-1)(e_1/e_n)^{1/(n-1)} against n/e_n^{1/n}.
 
     Equality happens exactly when e_n = e_1^n (both sides are then the
@@ -149,6 +149,7 @@ def _compare_mixed_vs_geometric(e1, e_n, n, max_bits=4096):
     if e_n == e1 ** n:
         return EQ, (Fraction(n, e1), Fraction(n, e1))
     base = Fraction(1, e1)
+    max_bits = 4096
     bits = 16
     while bits <= max_bits:
         lo1, hi1 = root_bracket(Fraction(e1, e_n), n - 1, bits)

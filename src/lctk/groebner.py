@@ -17,16 +17,18 @@ combination of the S-pairs (i, k) and (k, j), already handled, so the
 reduced basis is the same.
 
 The leading monomials of the loop's members generate the initial ideal
-(Cox, Little and O'Shea, ch. 2 §5), so ``order_sweep`` reads in(I) from
-them; only ``buchberger`` goes on to the reduced basis, made monic, with
+(Cox, Little and O'Shea, ch. 2 §5).  The loop returns them, decoded once,
+and ``order_sweep`` reads in(I) from them with one ``normalize_generators``;
+only ``buchberger`` goes on to the reduced basis, made monic, with
 rational coefficients, at its end.
 
 One private reducer, ``_reduce``, makes every division step of the pair
 loop, ``buchberger`` and ``normal_form``: it keeps the work terms on a heap
 ordered by the monomial order, and instead of dividing by a leading
 coefficient it scales the work by an integer (fraction-free), so no
-rational number is made inside its loop.  ``s_polynomial`` shares the
-loop's integer S-polynomial.
+rational number is made inside its loop; coefficients enter through
+``lattice._integers``.  ``s_polynomial`` shares the loop's integer
+S-polynomial.
 
 Inside the engine each monomial is one int, K(e) = kappa(e) * 2^(nW) +
 p(e) (``_Packing``; Bachmann and Schoenemann, ISSAC 1998).  p packs the
@@ -46,17 +48,18 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf
 from numbers import Real
 from operator import mul
 
-from . import bounds, kernels, multiplicities, thresholds
+from . import bounds, multiplicities, thresholds
 from .errors import (
     PolynomialParseError,
     ResourceCapError,
     UnitIdealError,
 )
 from .lattice import (
+    _integers,
     is_isolated_zero,
     natural,
     normalize_generators,
@@ -143,10 +146,9 @@ class MonomialOrder:
                     and 0 < w < inf for w in self.weights):
                 raise ValueError(
                     "weighted orders need positive finite weights")
-            exact = [Fraction(str(w)) if isinstance(w, float) else
-                     Fraction(w) for w in self.weights]
-            scale = lcm(*(w.denominator for w in exact))
-            int_weights = tuple(int(w * scale) for w in exact)
+            int_weights = tuple(_integers([
+                Fraction(str(w)) if isinstance(w, float) else w
+                for w in self.weights])[0])
         elif self.weights is not None:
             raise ValueError(
                 f"weights belong to weighted orders only, not {self.kind}")
@@ -288,10 +290,6 @@ def parse_polynomial(text, n):
     return Polynomial(n, terms)
 
 
-def leading_monomial(poly, order):
-    return max(poly.terms, key=order.key)
-
-
 class _StepCounter:
     __slots__ = ("left",)
 
@@ -355,11 +353,11 @@ class _Packing:
             f"an exponent passed {self.bound}, the field width of this run")
 
 
-def _integer(terms):
-    """(ints, den): the (mono, coeff) pairs times the lcm den of their
-    denominators, as integers."""
-    den = lcm(*(c.denominator for _, c in terms))
-    return [(m, c.numerator * (den // c.denominator)) for m, c in terms], den
+def _integer_terms(poly, pack):
+    """(terms, scale): poly times scale, the least positive integer that
+    makes its coefficients integers, as (packed monomial, int) pairs."""
+    ints, scale = _integers(poly.terms.values())
+    return list(zip(map(pack.encode, poly.terms), ints)), scale
 
 
 def _primitive(terms, lm):
@@ -376,12 +374,8 @@ def _primitive(terms, lm):
             tuple((m, c // content) for m, c in tail.items()))
 
 
-def _encoded(poly, pack):
-    return [(pack.encode(m), c) for m, c in poly.terms.items()]
-
-
 def _member(poly, pack):
-    terms = _integer(_encoded(poly, pack))[0]
+    terms = _integer_terms(poly, pack)[0]
     return _primitive(terms, max(m for m, _ in terms))
 
 
@@ -502,7 +496,7 @@ def normal_form(poly, basis, order):
     first divisor in basis order.  Returns None for a zero remainder.
     """
     pack = _packing(order, [poly, *basis])
-    work, scale = _integer(_encoded(poly, pack))
+    work, scale = _integer_terms(poly, pack)
     rem, num, den = _reduce(dict(work), [_member(g, pack) for g in basis],
                             pack, None)
     return _polynomial(pack, rem, Fraction(num, scale * den))
@@ -512,9 +506,9 @@ def s_polynomial(f, g, order):
     """x^a f / lc(f) - x^b g / lc(g), the shifts taking both leading
     monomials to their lcm; None when it cancels to zero."""
     pack = _packing(order, [f, g])
-    a, b = _member(f, pack), _member(g, pack)
-    top = pack.encode(map(max, pack.decode(a[0]), pack.decode(b[0])))
-    work, den = _s_work(a, b, top, pack)
+    top = pack.encode(map(max, *(max(p.terms, key=order.key)
+                                 for p in (f, g))))
+    work, den = _s_work(_member(f, pack), _member(g, pack), top, pack)
     return _polynomial(pack, list(work.items()), Fraction(1, den))
 
 
@@ -533,8 +527,9 @@ def _pair_loop(polys, order, max_reductions):
     lcm(lm_i, lm_j) and neither (i, k) nor (j, k) is still queued (chain
     criterion).  Each heap entry carries its encoded lcm.  Every division
     step counts against max_reductions; a negative cap is an error.
-    Returns (members, counter, pack): the members in insertion order, the
-    step counter and the packing.
+    Returns (members, exps, counter, pack): the members in insertion
+    order, their decoded leading monomials, the step counter and the
+    packing.
     """
     if not polys:
         raise ValueError("need at least one polynomial")
@@ -581,7 +576,7 @@ def _pair_loop(polys, order, max_reductions):
                       pack, counter)[0]
         if rem:
             add(_primitive(rem, rem[0][0]))
-    return basis, counter, pack
+    return basis, exps, counter, pack
 
 
 def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
@@ -593,11 +588,10 @@ def buchberger(polys, order, *, max_reductions=MAX_REDUCTIONS):
     monic with rational coefficients.  The result lists them by
     decreasing leading monomial.
     """
-    basis, counter, pack = _pair_loop(polys, order, max_reductions)
-    lms = [pack.decode(g[0]) for g in basis]
-    minimal = set(kernels.minimalize(lms, pack.n))
+    basis, exps, counter, pack = _pair_loop(polys, order, max_reductions)
+    minimal = set(normalize_generators(exps, pack.n).generators)
     kept = {}
-    for e, g in zip(lms, basis):
+    for e, g in zip(exps, basis):
         if e in minimal:
             kept.setdefault(g[0], g)
     out = {}
@@ -616,8 +610,8 @@ def initial_ideal(gb, order):
     """Monomial ideal of the leading exponents of a Groebner basis."""
     if not gb:
         raise ValueError("empty basis")
-    n = gb[0].n
-    return normalize_generators([leading_monomial(g, order) for g in gb], n)
+    return normalize_generators(
+        [max(g.terms, key=order.key) for g in gb], gb[0].n)
 
 
 @dataclass(frozen=True)
@@ -669,12 +663,11 @@ def order_sweep(polys, orders, *, max_reductions=MAX_REDUCTIONS):
     lcts = {}
     for i, order in enumerate(orders):
         try:
-            basis, _, pack = _pair_loop(polys, order, max_reductions)
+            _, exps, _, pack = _pair_loop(polys, order, max_reductions)
         except ResourceCapError as exc:
             errors[i] = exc
             continue
-        j0 = normalize_generators(kernels.minimalize(
-            [pack.decode(g[0]) for g in basis], pack.n), pack.n)
+        j0 = normalize_generators(exps, pack.n)
         if j0.is_unit:
             raise UnitIdealError("the ideal is the unit ideal")
         c = lcts.get(j0.generators)

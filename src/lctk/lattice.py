@@ -9,13 +9,15 @@ natural numbers: exponents, sequence entries, diagonal weights, table
 bases and the n of JSON input all pass through it.  ``rational`` is the
 one reader of the rationals a library call takes: threshold weights,
 Lelong and Newton points, the probe's c, and the vectors, c and radicands
-of ``bounds``.  Colengths are counted
-by the colength table (``multiplicities.hilbert_table`` through
-``kernels.table_column``).
+of ``bounds``.  ``_integers`` is the package's one scaler of rationals to
+integers, and ``_convex_rows`` its one LP block for a convex combination
+of generators.  Colengths are counted by the colength table
+(``multiplicities.hilbert_table`` through ``kernels.table_column``).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import kernels
 from .errors import DimensionMismatchError, EmptyGeneratorsError
@@ -44,6 +46,8 @@ def natural(value, what):
     """value as an int when it equals a natural number: 2.0 and
     Fraction(4, 2) read as 2; True, "3", 2.5 and -1 are a ValueError, not
     counted, parsed, rounded or made positive."""
+    if type(value) is int and value >= 0:
+        return value
     try:
         v = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -68,6 +72,17 @@ def rational(value, what):
         except (TypeError, ValueError, OverflowError):
             pass
     raise ValueError(f"{what} must be a finite rational, got {value!r}")
+
+
+def _integers(values):
+    """(ints, scale): the Fraction-like values times scale, the least
+    positive integer making them all integers; ints pass through with
+    scale 1."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
+    values = [v if type(v) is Fraction else Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _natural_vector(v, n):
@@ -125,13 +140,24 @@ def is_isolated_zero(ideal):
     return True
 
 
+def _convex_rows(gens, point, *middle):
+    """(rows, rhs) over lambda_1..lambda_k, one column per entry of
+    middle, then slack_1..slack_n: row i is sum_k lambda_k g_k[i] + middle
+    + slack_i = point[i], and the last row is sum_k lambda_k = 1."""
+    n = len(point)
+    rows = [[g[i] for g in gens] + list(middle)
+            + [int(j == i) for j in range(n)] for i in range(n)]
+    rows.append([1] * len(gens) + [0] * (len(middle) + n))
+    return rows, [*point, 1]
+
+
 def newton_membership(ideal, point):
     """Exact membership of a rational point in P(J) = conv(gens) + R_+^n.
 
     Decided as LP feasibility: does a convex combination of the generators
     lie componentwise below the point?
     """
-    from .simplex import feasible  # deferred: simplex needs only errors
+    from .simplex import feasible  # deferred: simplex imports _integers
 
     q = tuple(rational(x, "each coordinate") for x in point)
     if len(q) != ideal.n:
@@ -139,15 +165,4 @@ def newton_membership(ideal, point):
             f"point has length {len(q)}, expected {ideal.n}")
     if any(x < 0 for x in q):
         raise ValueError("points of the positive orthant only")
-    gens = ideal.generators
-    k = len(gens)
-    n = ideal.n
-    # variables: lambda_1..lambda_k, slack_1..slack_n
-    rows = []
-    rhs = []
-    for i in range(n):
-        rows.append([g[i] for g in gens] + [int(j == i) for j in range(n)])
-        rhs.append(q[i])
-    rows.append([1] * k + [0] * n)
-    rhs.append(1)
-    return feasible(rows, rhs)
+    return feasible(*_convex_rows(ideal.generators, q))

@@ -33,8 +33,9 @@ from .lattice import is_isolated_zero, natural
 #: The largest base a fit tries.
 BASE_CAP = 64
 
-#: Cap on the total degree of any monomial of a table's J^t and m^r J^t;
-#: the t-fold products grow degrees linearly and this guards blowup.
+#: Cap on the total degree of any generator of a table's J^t; the t-fold
+#: products grow degrees linearly and this guards blowup.  m^r J^t is never
+#: formed (a cell counts it as the cut family of J^t), so r is not capped.
 MAX_TOTAL_DEGREE = 512
 
 #: The fit reads the differences at the diagonal points (base + i, base + i)

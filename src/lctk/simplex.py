@@ -6,9 +6,10 @@ integer matrix T = d * B^-1 [A | b] for the current basis B, with one
 common determinant d = |det B| > 0.  A pivot replaces every other row by
 (p * T_i - T_ic * T_r) / d, a division that is exact because every entry
 is a minor of [A | b], and d becomes the pivot p.  Rational input is
-scaled to integers once, rows and right-hand side by one common
-denominator and each cost by its own, which changes no sign and so no
-pivot choice; a Fraction is formed only for the solution at the end.
+scaled to integers once by the package's one scaler, ``lattice._integers``:
+rows and right-hand side by one common denominator and each cost by its
+own, which changes no sign and so no pivot choice; a Fraction is formed
+only for the solution at the end.
 
 Bland's smallest-index rule guarantees termination.  Optional tiebreak
 costs are minimized in turn over the optimal face left by the costs before
@@ -18,9 +19,9 @@ only concern.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import DimensionMismatchError, InvariantError
+from .lattice import _integers
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -36,16 +37,6 @@ class LPResult:
         self.status = status
         self.x = x
         self.objective = objective
-
-
-def _integers(values):
-    """values scaled by the least positive integer making them all
-    integers; ints pass through unscaled."""
-    if all(type(v) is int for v in values):
-        return list(values)
-    values = [Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _pivot(tableau, basis, d, row, col):
@@ -133,7 +124,7 @@ def solve_min(rows, rhs, cost, *tiebreaks):
         if len(vec) != n:
             raise DimensionMismatchError(
                 f"a row or tiebreak has length {len(vec)}, the cost {n}")
-    flat = _integers([v for r in rows for v in r] + list(rhs))
+    flat = _integers([v for r in rows for v in r] + list(rhs))[0]
     tableau = []
     for i in range(m):
         row = flat[i * n:(i + 1) * n]
@@ -165,7 +156,7 @@ def solve_min(rows, rhs, cost, *tiebreaks):
     basis = [basis[i] for i in keep]
 
     cols = range(n)  # original index of each tableau column
-    d, zrow = _bland(tableau, basis, d, _integers(cost))
+    d, zrow = _bland(tableau, basis, d, _integers(cost)[0])
     for tiebreak in tiebreaks:
         if zrow is None:
             break
@@ -175,7 +166,7 @@ def solve_min(rows, rhs, cost, *tiebreaks):
         basis = [at[b] for b in basis]
         cols = [cols[j] for j in keep]
         d, zrow = _bland(tableau, basis, d,
-                         _integers([tiebreak[j] for j in cols]))
+                         _integers([tiebreak[j] for j in cols])[0])
     if zrow is None:
         return LPResult(UNBOUNDED)
     x = [_ZERO] * n

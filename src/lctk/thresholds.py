@@ -17,7 +17,7 @@ from functools import reduce
 from math import inf, isfinite
 
 from .errors import DegenerateMinorantError, InvariantError, UnitIdealError
-from .lattice import is_isolated_zero, natural, rational
+from .lattice import _convex_rows, is_isolated_zero, natural, rational
 from .simplex import OPTIMAL, solve_min
 
 _ZERO = Fraction(0)
@@ -117,18 +117,10 @@ def howald_lct(ideal):
         raise UnitIdealError("the unit ideal has no threshold")
     gens = ideal.generators
     n = ideal.n
-    k = len(gens)
-    # variables: lambda_1..lambda_k, y, slack_1..slack_n
-    rows = []
-    rhs = []
-    for i in range(n):
-        slack = [0] * n
-        slack[i] = 1
-        rows.append([g[i] for g in gens] + [-1] + slack)
-        rhs.append(0)
-    rows.append([1] * k + [0] * (n + 1))
-    rhs.append(1)
-    cost = [0] * k + [1] + [0] * n
+    # variables: lambda_1..lambda_k, y, slack_1..slack_n; a convex
+    # combination lies below y times the all-ones point
+    rows, rhs = _convex_rows(gens, (0,) * n, -1)
+    cost = [0] * len(gens) + [1] + [0] * n
     res = _solve_optimal("Howald LP", rows, rhs, cost)
     y_star = res.objective
     if y_star == 0:

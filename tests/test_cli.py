@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from itertools import count
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,19 @@ class TestReport:
         code, _, _ = run(capsys, ["report",
                                   write(tmp_path, "i.json", NON_ISOLATED)])
         assert code == 2
+
+    @pytest.mark.parametrize("pure", ["0", "1"])
+    def test_huge_diagonal_exits_5_promptly(self, tmp_path, pure):
+        # the fit gives up at BASE_CAP; its one table there runs the pure
+        # diagonal cell on either lane, past the compiled coordinate guard
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "LCTK_PURE_PYTHON": pure}
+        path = write(tmp_path, "i.json",
+                     {"n": 2, "generators": [[20000, 0], [0, 20000]]})
+        done = subprocess.run(
+            [sys.executable, "-m", "lctk.cli", "report", path], env=env,
+            capture_output=True, text=True, timeout=30)
+        assert done.returncode == 5
 
     def test_failing_check_exit_4(self, tmp_path, capsys, monkeypatch):
         import lctk.cli as climod

@@ -124,6 +124,30 @@ class TestDiagonalCells:
             r, t = rng.randint(0, 12), rng.randint(0, 10)
             assert py.diagonal_cell(a, r, t) == cc.diagonal_cell(a, r, t)
 
+    def test_large_weight_lane_parity(self):
+        # weights in the hundreds: long windows in the pure lane's box
+        # count, and every draw is still inside the compiled guard
+        from lctk import _staircase_py as py
+
+        cc = pytest.importorskip("lctk._staircase")
+        rng = random.Random(29)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            a = tuple(sorted(rng.randint(1, 300) for _ in range(n)))
+            r, t = rng.randint(0, 40), rng.randint(0, 4)
+            assert r + t * a[-1] <= kernels._MAX_COORD
+            assert py.diagonal_cell(a, r, t) == cc.diagonal_cell(a, r, t)
+
+    @pytest.mark.parametrize("a, b", [(7, 300), (299, 300), (20000, 20000)])
+    def test_large_weight_closed_forms(self, kernel_lane, a, b):
+        # (z1^a, z2^b)^t has colength ab t(t + 1)/2, m^r has r(r + 1)/2
+        for t in range(4):
+            assert kernel_lane.diagonal_cell((a, b), 0, t) == \
+                a * b * t * (t + 1) // 2
+        for r in range(4):
+            assert kernel_lane.diagonal_cell((a, b), r, 0) == \
+                r * (r + 1) // 2
+
 
 class TestDispatch:
     def test_large_dimension_uses_python_lane(self):

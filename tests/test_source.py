@@ -54,3 +54,16 @@ def test_only_kernels_reads_the_environment():
                     and names & {a.name for a in node.names}):
                 found.append(path.name)
     assert set(found) == {"kernels.py"}
+
+
+def test_only_lattice_imports_lcm():
+    # lattice._integers is the one scaler of rationals to integers; the
+    # simplex, the Groebner members and the weighted order keys use it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "lcm" or (
+                    isinstance(node, ast.ImportFrom) and node.module == "math"
+                    and "lcm" in {a.name for a in node.names}):
+                found.append(path.name)
+    assert set(found) == {"lattice.py"}
