@@ -143,15 +143,15 @@ def _compare_mixed_vs_geometric(e1, e_n, n):
     """Ordering of 1/e_1 + (n-1)(e_1/e_n)^{1/(n-1)} against n/e_n^{1/n}.
 
     Equality happens exactly when e_n = e_1^n (both sides are then the
-    rational n/e_1); otherwise dyadic brackets of both roots are refined
-    until they separate, and the separating bounds are the witness.
+    rational n/e_1); otherwise the sides differ by strict AM-GM, so dyadic
+    brackets of both roots, refined until they separate, always do; the
+    separating bounds are the witness.
     """
     if e_n == e1 ** n:
         return EQ, (Fraction(n, e1), Fraction(n, e1))
     base = Fraction(1, e1)
-    max_bits = 4096
     bits = 16
-    while bits <= max_bits:
+    while True:
         lo1, hi1 = root_bracket(Fraction(e1, e_n), n - 1, bits)
         lo2, hi2 = root_bracket(Fraction(1, e_n), n, bits)
         lhs_lo = base + (n - 1) * lo1
@@ -163,7 +163,6 @@ def _compare_mixed_vs_geometric(e1, e_n, n):
         if lhs_hi < rhs_lo:
             return LT, (lhs_hi, rhs_lo)
         bits *= 2
-    raise ArithmeticError("root brackets failed to separate")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
 """Command-line surface.
 
 JSON goes to stdout, human-readable summaries to stderr.  Exit codes:
-0 ok, 2 parse or input-contract error, 3 unit ideal, 4 invariant violation
-(a failing exact check), 5 resource cap.  Random sweeps are reproducible:
-the seeded generator is Python's Mersenne Twister (random.Random), and the
-draw order is fixed, so identical configs give byte-identical JSON.
+0 ok, 2 parse, input-contract or file error, 3 unit ideal, 4 invariant
+violation (a failing exact check), 5 resource cap.  Random sweeps are
+reproducible: the seeded generator is Python's Mersenne Twister
+(random.Random), and the draw order is fixed, so identical configs give
+byte-identical JSON.
 """
 
 import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 
@@ -24,7 +26,7 @@ from .errors import (
     UnitIdealError,
 )
 from .groebner import MAX_REDUCTIONS, MonomialOrder, default_order, order_sweep
-from .multiplicities import fit_multiplicities
+from .multiplicities import fit_multiplicities, mixed_multiplicities
 from .report import RunConfig, build_ideal_report, run_random_sweep
 from .serialize import (
     SchemaError,
@@ -58,6 +60,18 @@ def _emit(payload):
 
 def _say(message):
     print(message, file=sys.stderr)
+
+
+@contextmanager
+def _csv_target(path):
+    """A csv writer on path, or None when no path is given.  A command
+    opens it before its work and its JSON, so a path that cannot be
+    written fails early, with stdout still empty."""
+    if not path:
+        yield None
+        return
+    with open(path, "w", newline="") as fh:
+        yield csv.writer(fh)
 
 
 def _checked(call, **fields):
@@ -112,13 +126,12 @@ def cmd_mults(args):
     fit = fit_multiplicities(ideal)
     payload = mults_to_dict(fit.mults)
     payload["base"] = fit.table.base
-    _emit(payload)
-    if args.dump_table:
-        with open(args.dump_table, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    with _csv_target(args.dump_table) as writer:
+        if writer:
             writer.writerow(["r", "t", "L"])
-            for r, t, v in fit.table.rows():
-                writer.writerow([r, t, v])
+            writer.writerows(fit.table.rows())
+    _emit(payload)
+    if writer:
         _say(f"table (base {fit.table.base}, window {fit.table.window}) "
              f"written to {args.dump_table}")
     _say(f"e = {list(fit.mults.e)}")
@@ -129,13 +142,14 @@ def cmd_bounds(args):
     with open(args.input) as fh:
         data = json.load(fh)
     if isinstance(data, dict) and "generators" in data:
-        rep = build_ideal_report(ideal_from_dict(data))
-        seq, c, brep = rep.mults, rep.certificate.c, rep.bounds
+        ideal = ideal_from_dict(data)
+        seq = mixed_multiplicities(ideal)
+        c = kiselman_lct(ideal).c
     elif isinstance(data, dict) and "e" in data:
         seq, c = sequence_from_dict(data)
-        brep = build_bounds_report(seq, c)
     else:
         raise SchemaError('expected an ideal or {"e": [...]} sequence')
+    brep = build_bounds_report(seq, c)
     payload = {"e": list(seq.e), "bounds": bounds_report_to_dict(brep)}
     if c is not None:
         payload["c"] = frac_str(c)
@@ -147,7 +161,20 @@ def cmd_bounds(args):
 def cmd_verify_random(args):
     config = _checked(RunConfig, seed=args.seed, dim=args.dim,
                       max_degree=args.max_degree, count=args.count)
-    summary = run_random_sweep(config, keep_items=args.csv is not None)
+    with _csv_target(args.csv) as writer:
+        summary = run_random_sweep(config, keep_items=writer is not None)
+        if writer:
+            writer.writerow(["index", "n", "generators", "c", "e",
+                             "main_bound", "slack", "ok"])
+            for i, ideal, rep in summary.items:
+                writer.writerow([
+                    i, ideal.n, json.dumps([list(g) for g in
+                                            ideal.generators]),
+                    frac_str(rep.certificate.c),
+                    json.dumps(list(rep.mults.e)),
+                    frac_str(rep.bounds.main), frac_str(rep.slack),
+                    rep.all_ok,
+                ])
     payload = {
         "config": {
             "seed": config.seed, "dim": config.dim,
@@ -167,20 +194,7 @@ def cmd_verify_random(args):
         ],
     }
     _emit(payload)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "n", "generators", "c", "e",
-                             "main_bound", "slack", "ok"])
-            for i, ideal, rep in summary.items:
-                writer.writerow([
-                    i, ideal.n, json.dumps([list(g) for g in
-                                            ideal.generators]),
-                    frac_str(rep.certificate.c),
-                    json.dumps(list(rep.mults.e)),
-                    frac_str(rep.bounds.main), frac_str(rep.slack),
-                    rep.all_ok,
-                ])
+    if writer:
         _say(f"per-ideal rows written to {args.csv}")
     _say(f"{summary.passed}/{config.count} ideals pass, "
          f"{summary.failed} fail, {summary.skipped} skipped; "
@@ -314,7 +328,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (SchemaError, PolynomialParseError, NonIsolatedError,
-            json.JSONDecodeError, FileNotFoundError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         _say(f"input error: {exc}")
         return EXIT_PARSE
     except UnitIdealError as exc:

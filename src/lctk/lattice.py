@@ -2,16 +2,14 @@
 
 A monomial ideal in n variables is identified with the inclusion-minimal
 antichain of its generator exponent vectors.  This module builds that
-antichain from raw exponents, decides whether the zero is isolated, and
-decides Newton-polyhedron membership by exact rational linear
-programming; all values are immutable.  ``natural`` is the one reader of
-natural numbers: exponents, sequence entries, diagonal weights, table
-bases and the n of JSON input all pass through it.  ``rational`` is the
-one reader of the rationals a library call takes: threshold weights,
-Lelong and Newton points, the probe's c, and the vectors, c and radicands
-of ``bounds``.  ``_integers`` is the package's one scaler of rationals to
-integers, and ``_convex_rows`` its one LP block for a convex combination
-of generators.  Colengths are counted by the colength table
+antichain from raw exponents and decides whether the zero is isolated;
+all values are immutable.  ``natural`` is the one reader of natural
+numbers: exponents, sequence entries, diagonal weights, table bases and
+the n of JSON input all pass through it.  ``rational`` is the one reader
+of the rationals a library call takes: threshold weights, Lelong and
+Newton points, the probe's c, and the vectors, c and radicands of
+``bounds``.  ``_integers`` is the package's one scaler of rationals to
+integers.  Colengths are counted by the colength table
 (``multiplicities.hilbert_table`` through ``kernels.table_column``).
 """
 
@@ -138,31 +136,3 @@ def is_isolated_zero(ideal):
                    for g in ideal.generators):
             return False
     return True
-
-
-def _convex_rows(gens, point, *middle):
-    """(rows, rhs) over lambda_1..lambda_k, one column per entry of
-    middle, then slack_1..slack_n: row i is sum_k lambda_k g_k[i] + middle
-    + slack_i = point[i], and the last row is sum_k lambda_k = 1."""
-    n = len(point)
-    rows = [[g[i] for g in gens] + list(middle)
-            + [int(j == i) for j in range(n)] for i in range(n)]
-    rows.append([1] * len(gens) + [0] * (len(middle) + n))
-    return rows, [*point, 1]
-
-
-def newton_membership(ideal, point):
-    """Exact membership of a rational point in P(J) = conv(gens) + R_+^n.
-
-    Decided as LP feasibility: does a convex combination of the generators
-    lie componentwise below the point?
-    """
-    from .simplex import feasible  # deferred: simplex imports _integers
-
-    q = tuple(rational(x, "each coordinate") for x in point)
-    if len(q) != ideal.n:
-        raise DimensionMismatchError(
-            f"point has length {len(q)}, expected {ideal.n}")
-    if any(x < 0 for x in q):
-        raise ValueError("points of the positive orthant only")
-    return feasible(*_convex_rows(ideal.generators, q))

@@ -14,8 +14,9 @@ only for the solution at the end.
 Bland's smallest-index rule guarantees termination.  Optional tiebreak
 costs are minimized in turn over the optimal face left by the costs before
 them, on the same tableau, so a lexicographic optimum costs one phase 1.
-Problem sizes in this package are tiny (tens of rows), so exactness is the
-only concern.
+The module's one caller is ``thresholds``: the Kiselman and Howald LPs and
+Newton-polyhedron membership, each posed so that it is feasible.  Problem
+sizes there are tiny (tens of rows), so exactness is the only concern.
 """
 
 from fractions import Fraction
@@ -175,9 +176,3 @@ def solve_min(rows, rhs, cost, *tiebreaks):
     obj = sum((Fraction(c) * v for c, v in zip(cost, x) if v), _ZERO)
     return LPResult(OPTIMAL, x, obj)
 
-
-def feasible(rows, rhs):
-    """Phase-1 feasibility of rows.x = rhs, x >= 0."""
-    n = len(rows[0])
-    res = solve_min(rows, rhs, [0] * n)
-    return res.status == OPTIMAL

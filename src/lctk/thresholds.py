@@ -1,9 +1,10 @@
 """Exact log canonical thresholds of monomial ideals.
 
 The primal route maximizes the refined Lelong number over the standard
-simplex by exact LP; the dual route asks for the largest scaling of the
-Newton polyhedron containing the all-ones point.  Both are rational and
-must agree exactly, which the test suite enforces on every ideal it sees.
+simplex (Kiselman); the dual route asks for the largest scaling of the
+Newton polyhedron containing the all-ones point (Howald), which also
+decides Newton-polyhedron membership.  Each is one exact LP whose optimum
+is the threshold, and the two must agree exactly, as the tests enforce.
 The worst diagonal minorant, read off the primal certificate, is a plain
 ascending tuple of Fraction weights, the input ``diagonal_lct`` takes.
 A numeric quadrature probe gives a heuristic integrability check; it is
@@ -16,9 +17,14 @@ from fractions import Fraction
 from functools import reduce
 from math import inf, isfinite
 
-from .errors import DegenerateMinorantError, InvariantError, UnitIdealError
-from .lattice import _convex_rows, is_isolated_zero, natural, rational
-from .simplex import OPTIMAL, solve_min
+from .errors import (
+    DegenerateMinorantError,
+    DimensionMismatchError,
+    InvariantError,
+    UnitIdealError,
+)
+from .lattice import is_isolated_zero, natural, rational
+from .simplex import OPTIMAL, UNBOUNDED, solve_min
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -28,7 +34,8 @@ _ONE = Fraction(1)
 class LctCertificate:
     """Threshold c, the maximizing simplex point, and its Lelong value.
 
-    Invariants: sum(x0) == 1, c * nu == 1, and nu equals
+    c is the Kiselman LP's optimum and x0 its lex-min optimal point scaled
+    onto the simplex.  Invariants: sum(x0) == 1, c * nu == 1, and nu equals
     refined_lelong(ideal, x0).  `isolated` records whether the ideal has an
     isolated zero; non-isolated ideals still get a valid threshold.
     """
@@ -61,73 +68,82 @@ def refined_lelong(ideal, x):
     return min(sum(a * v for a, v in zip(g, x)) for g in ideal.generators)
 
 
-def _solve_optimal(what, rows, rhs, *costs):
-    """solve_min for an LP that is feasible and bounded by construction."""
-    res = solve_min(rows, rhs, *costs)
-    if res.status != OPTIMAL:
-        raise InvariantError(f"{what} ended {res.status}")
-    return res
-
-
 def kiselman_lct(ideal):
     """Exact threshold certificate via max over the simplex of the refined
     Lelong number.
 
-    Solves max s subject to <alpha, x> >= s for every generator, x in the
-    standard simplex, as an exact LP; then c = 1/s.  The same solve then
-    minimizes x_1, ..., x_n in turn as tiebreaks, so x0 is the
-    lexicographically smallest point of the optimal face, which is unique
-    and makes every certificate deterministic.
+    Posed scale-free, c = min sum(w) subject to <alpha, w> >= 1 for every
+    generator, an exact LP whose optimal face is c times the maximizing
+    simplex points.  The same solve then minimizes w_1, ..., w_n in turn as
+    tiebreaks, so x0 = w/c is the lexicographically smallest maximizing
+    point, which is unique and makes every certificate deterministic.
     """
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal has no threshold")
     gens = ideal.generators
     n = ideal.n
     k = len(gens)
-    # variables: x_1..x_n, s, u_1..u_k
-    rows = []
-    rhs = []
-    for idx, g in enumerate(gens):
-        slack = [0] * k
-        slack[idx] = -1
-        rows.append(list(g) + [-1] + slack)
-        rhs.append(0)
-    rows.append([1] * n + [0] * (k + 1))
-    rhs.append(1)
-    cost = [0] * n + [-1] + [0] * k
-    unit = [[int(j == axis) for j in range(n + k + 1)] for axis in range(n)]
-    res = _solve_optimal("Kiselman LP", rows, rhs, cost, *unit)
-    s_star = res.x[n]
-    if s_star == 0:
-        # unreachable for non-unit ideals: every generator has positive
-        # pairing with the barycenter
-        raise InvariantError("Kiselman LP optimum has zero slope")
-    return LctCertificate(c=_ONE / s_star, x0=tuple(res.x[:n]), nu=s_star,
-                          isolated=is_isolated_zero(ideal))
+    # variables: w_1..w_n, u_1..u_k; row alpha is <alpha, w> - u_alpha = 1
+    rows = [list(g) + [-int(j == idx) for j in range(k)]
+            for idx, g in enumerate(gens)]
+    cost = [1] * n + [0] * k
+    unit = [[int(j == axis) for j in range(n + k)] for axis in range(n)]
+    res = solve_min(rows, [1] * k, cost, *unit)
+    if res.status != OPTIMAL:
+        raise InvariantError(f"Kiselman LP ended {res.status}")
+    c = res.objective
+    if c == 0:
+        # unreachable for non-unit ideals: a feasible w is nonzero
+        raise InvariantError("Kiselman LP optimum is zero")
+    return LctCertificate(c=c, x0=tuple(v / c for v in res.x[:n]),
+                          nu=_ONE / c, isolated=is_isolated_zero(ideal))
+
+
+def _newton_scale(gens, q):
+    """The largest T with q in T * P(J) for the generators gens: the exact
+    LP max sum(mu) subject to sum_k mu_k g_k <= q, with mu = T * lambda for
+    a convex combination lambda.  The LP is unbounded, and T is inf, only
+    for the unit ideal."""
+    n = len(q)
+    # variables: mu_1..mu_k, slack_1..slack_n
+    rows = [[g[i] for g in gens] + [int(j == i) for j in range(n)]
+            for i in range(n)]
+    res = solve_min(rows, q, [-1] * len(gens) + [0] * n)
+    if res.status == UNBOUNDED:
+        return inf
+    if res.status != OPTIMAL:
+        raise InvariantError(f"Howald LP ended {res.status}")
+    return -res.objective
 
 
 def howald_lct(ideal):
-    """Dual route: 1 / min over convex generator combinations of the max
-    coordinate.
+    """Dual route: the largest c with the all-ones point in c * P(J).
 
-    The all-ones point enters c * P(J) exactly when the scaled polyhedron
-    reaches it, and LP duality makes this agree with kiselman_lct.
+    LP duality makes this agree with kiselman_lct.
     """
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal has no threshold")
-    gens = ideal.generators
-    n = ideal.n
-    # variables: lambda_1..lambda_k, y, slack_1..slack_n; a convex
-    # combination lies below y times the all-ones point
-    rows, rhs = _convex_rows(gens, (0,) * n, -1)
-    cost = [0] * len(gens) + [1] + [0] * n
-    res = _solve_optimal("Howald LP", rows, rhs, cost)
-    y_star = res.objective
-    if y_star == 0:
-        # unreachable for non-unit ideals: a convex combination of nonzero
-        # natural vectors has a positive coordinate
+    c = _newton_scale(ideal.generators, (1,) * ideal.n)
+    if c == 0:
+        # unreachable for non-unit ideals: every generator is nonzero, so
+        # a small enough mu is feasible
         raise InvariantError("Howald LP optimum is zero")
-    return _ONE / y_star
+    return c
+
+
+def newton_membership(ideal, point):
+    """Exact membership of a rational point in P(J) = conv(gens) + R_+^n.
+
+    The scales T with q in T * P(J) run from 0 up to the largest, so q
+    lies in P(J) = 1 * P(J) exactly when that largest scale is at least 1.
+    """
+    q = tuple(rational(x, "each coordinate") for x in point)
+    if len(q) != ideal.n:
+        raise DimensionMismatchError(
+            f"point has length {len(q)}, expected {ideal.n}")
+    if any(x < 0 for x in q):
+        raise ValueError("points of the positive orthant only")
+    return _newton_scale(ideal.generators, q) >= 1
 
 
 def diagonal_lct(weights):

@@ -173,6 +173,18 @@ class TestChain:
     def test_univariate(self):
         assert chain_check((1, 4)).ok
 
+    @pytest.mark.parametrize("e", [
+        (1, 2 ** 900, 2 ** 1800 + 1),
+        (1, 2 ** 3000, 2 ** 6000, 2 ** 9000, 2 ** 12000 + 1),
+    ])
+    def test_near_geometric_brackets_separate(self, e):
+        # e_n = e_1^n + 1: the reference bounds differ (strict AM-GM), but
+        # their brackets separate only past 4096 bits
+        rep = chain_check(e)
+        assert rep.mixed_vs_geometric == GT
+        mixed_lo, geometric_hi = rep.witnesses[1]
+        assert mixed_lo > geometric_hi
+
     def test_holds_on_random_cone_points(self):
         rng = random.Random(34)
         for _ in range(50):

@@ -135,7 +135,7 @@ class TestInvariantFailure:
         assert "Kiselman LP ended infeasible" in err
 
     @pytest.mark.parametrize("route, message", [
-        ("kiselman_lct", "Kiselman LP optimum has zero slope"),
+        ("kiselman_lct", "Kiselman LP optimum is zero"),
         ("howald_lct", "Howald LP optimum is zero")])
     def test_zero_optimum_is_exit_4(self, tmp_path, capsys, monkeypatch,
                                     route, message):
@@ -218,6 +218,28 @@ class TestBounds:
                            ["bounds", write(tmp_path, "i.json", CUSP)])
         assert code == 0
         assert json.loads(out)["bounds"]["main_bound"] == "5/6"
+
+    def test_ideal_input_solves_only_the_kiselman_lp(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # c comes from the Kiselman certificate alone: no Howald LP and no
+        # report checks, which the bounds output does not print
+        from lctk import simplex, thresholds
+
+        calls = []
+        real = simplex.solve_min
+
+        def counting_solve(rows, rhs, *costs):
+            calls.append(len(costs))
+            return real(rows, rhs, *costs)
+
+        monkeypatch.setattr(thresholds, "solve_min", counting_solve)
+        code, out, _ = run(capsys,
+                           ["bounds", write(tmp_path, "i.json", CUSP)])
+        assert code == 0
+        assert calls == [1 + CUSP["n"]]
+        data = json.loads(out)
+        assert (data["e"], data["c"]) == ([1, 2, 6], "5/6")
+        assert data["bounds"]["mixed_bound_cmp"] == "EQ"
 
     def test_mults_output_is_a_sequence_input(self, tmp_path, capsys):
         _, out, _ = run(capsys, ["mults", write(tmp_path, "i.json", CUSP)])
@@ -368,6 +390,41 @@ class TestInputContract:
         code, _, _ = run(capsys, ["--max-steps=0", "groebner-bound",
                                   path] + extra)
         assert code == (0 if len(polys) == 1 else 5)
+
+
+class TestFileFailures:
+    """A file the CLI cannot read or write is an input error: exit 2, with
+    nothing on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["lct", "{dir}"],
+        ["report", "{dir}"],
+        ["bounds", "{dir}"],
+        ["groebner-bound", "{dir}"],
+        ["lct", "{latin1}"],
+        ["bounds", "{latin1}"],
+        ["groebner-bound", "{latin1}"],
+        ["mults", "{cusp}", "--dump-table", "{dir}"],
+        ["--csv", "{dir}", "verify-random", "--count", "2"],
+    ])
+    def test_exit_2(self, tmp_path, capsys, argv):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"n": 1, "generators": [[1]], "\xe9": 1}'
+                           .encode("latin-1"))
+        paths = {"dir": str(tmp_path), "latin1": str(latin1),
+                 "cusp": write(tmp_path, "i.json", CUSP)}
+        code, out, err = run(capsys, [a.format(**paths) for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:")
+
+    def test_csv_target_opens_before_the_sweep(self, tmp_path, capsys,
+                                               monkeypatch):
+        swept = []
+        monkeypatch.setattr(cli, "run_random_sweep",
+                            lambda *args, **kw: swept.append(args))
+        code, out, _ = run(capsys, ["--csv", str(tmp_path),
+                                    "verify-random", "--count", "2"])
+        assert (code, out, swept) == (2, "", [])
 
 
 class TestVerifyRandom:

@@ -67,3 +67,16 @@ def test_only_lattice_imports_lcm():
                     and "lcm" in {a.name for a in node.names}):
                 found.append(path.name)
     assert set(found) == {"lattice.py"}
+
+
+def test_only_thresholds_imports_simplex():
+    # every LP the package poses is a threshold or Newton-scale LP, so the
+    # simplex has one caller
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module == "simplex" or node.module is None
+                    and "simplex" in {a.name for a in node.names}):
+                found.append(path.name)
+    assert set(found) == {"thresholds.py"}

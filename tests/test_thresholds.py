@@ -17,6 +17,7 @@ from lctk import (
     howald_lct,
     kiselman_lct,
     maximal_ideal,
+    newton_membership,
     normalize_generators,
     numeric_integrability_probe,
     refined_lelong,
@@ -163,12 +164,54 @@ class TestLexMinTiebreak:
             if J.is_unit:
                 continue
             first = simplex.solve_min(*_kiselman_lp(J))
-            expected = _lex_min_by_pinning(J, first.x[n])
-            assert kiselman_lct(J).x0 == expected
+            s_star = first.x[n]
+            expected = _lex_min_by_pinning(J, s_star)
+            cert = kiselman_lct(J)
+            assert (cert.c, cert.x0, cert.nu) == (1 / s_star, expected,
+                                                  s_star)
             decided_by_tiebreak += tuple(first.x[:n]) != expected
         # the optimal face is often not one vertex, and Bland's rule alone
         # would stop at another one of its vertices
         assert decided_by_tiebreak >= 20
+
+
+def _convex_combination_below(J, q):
+    """Reference membership of q in P(J): phase-1 feasibility of
+    sum_k lambda_k g_k + slack = q with sum(lambda) = 1."""
+    gens, n = J.generators, J.n
+    rows = [[g[i] for g in gens] + [int(j == i) for j in range(n)]
+            for i in range(n)]
+    rows.append([1] * len(gens) + [0] * n)
+    res = simplex.solve_min(rows, [*q, 1], [0] * (len(gens) + n))
+    return res.status == simplex.OPTIMAL
+
+
+class TestNewtonMembership:
+    def test_matches_convex_combination_reference(self):
+        rng = random.Random(16)
+        verdicts = []
+        for _ in range(120):
+            n = rng.randint(1, 4)
+            gens = [tuple(rng.randint(0, 3) for _ in range(n))
+                    for _ in range(rng.randint(1, 4))]
+            J = normalize_generators(gens, n)
+            # about half the coordinates are zero
+            points = [tuple(F(rng.randint(0, 12), rng.randint(1, 4))
+                            * rng.randint(0, 1) for _ in range(n))
+                      for _ in range(4)]
+            for q in points + list(J.generators):
+                verdicts.append(newton_membership(J, q))
+                assert verdicts[-1] == _convex_combination_below(J, q)
+        assert 100 < verdicts.count(False) < verdicts.count(True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unit_ideal_contains_the_orthant(self, n):
+        # the Newton-scale LP is unbounded: every scale of the orthant
+        # lies in the orthant
+        J = unit_ideal(n)
+        for q in [(0,) * n, (F(1, 3),) * n, tuple(range(n))]:
+            assert newton_membership(J, q)
+            assert _convex_combination_below(J, q)
 
 
 class TestHowald:
