@@ -22,6 +22,15 @@ and ``order_sweep`` reads in(I) from them with one ``normalize_generators``;
 only ``buchberger`` goes on to the reduced basis, made monic, with
 rational coefficients, at its end.
 
+Every monomial order's initial ideal has the same colength, dim_Q Q[x]/I
+(Macaulay; Cox, Little and O'Shea, ch. 5 §3).  A sweep reads that number
+off its first completed order, checks it against every later order, and
+hands it to each later pair loop, which stops once its leading monomials
+have that colength: they generate an ideal L inside in(I), and two
+monomial ideals, one inside the other, with the same finite colength are
+equal, so every pair still queued reduces to zero (Traverso, "Hilbert
+functions and the Buchberger algorithm", J. Symbolic Comput. 1996).
+
 One private reducer, ``_reduce``, makes every division step of the pair
 loop, ``buchberger`` and ``normal_form``: it keeps the work terms on a heap
 ordered by the monomial order, and instead of dividing by a leading
@@ -42,6 +51,10 @@ and one mask.  A run's fields hold exponents up to 2^(n * bitlen(top) +
 sets a guard bit and raises ``ResourceCapError``, so no run returns a
 wrong answer.  Monomials are tuples again at the boundary: the members
 of ``Polynomial`` results and the leading monomials a sweep reads.
+Coefficients are bounded the same way: a member coefficient, or one of
+``_reduce``'s work when it takes the content, past ``_COEFFICIENT_BITS``
+bits raises ``ResourceCapError``, since the step cap bounds steps and not
+the cost of each.
 """
 
 import heapq
@@ -52,8 +65,9 @@ from math import gcd, inf
 from numbers import Real
 from operator import mul
 
-from . import bounds, multiplicities, thresholds
+from . import bounds, kernels, multiplicities, thresholds
 from .errors import (
+    InvariantError,
     PolynomialParseError,
     ResourceCapError,
     UnitIdealError,
@@ -72,6 +86,10 @@ MAX_REDUCTIONS = 100_000
 #: ``_reduce`` divides out the content of its coefficients once the
 #: multipliers since the last division exceed this many bits.
 _CONTENT_BITS = 64
+
+#: Bit length allowed for a member coefficient and for the coefficients of
+#: ``_reduce``'s work: a run past it stops with ``ResourceCapError``.
+_COEFFICIENT_BITS = 4096
 
 #: A run's exponent fields hold this many bits beyond n times the bit
 #: length of its largest input exponent (see ``_Packing``).
@@ -360,14 +378,24 @@ def _integer_terms(poly, pack):
     return list(zip(map(pack.encode, poly.terms), ints)), scale
 
 
+def _check_size(top):
+    """Raise ``ResourceCapError`` when top, the largest absolute value of
+    some coefficients, has more than ``_COEFFICIENT_BITS`` bits."""
+    if top.bit_length() > _COEFFICIENT_BITS:
+        raise ResourceCapError(
+            f"a coefficient passed {_COEFFICIENT_BITS} bits")
+
+
 def _primitive(terms, lm):
     """The member (lm, lc, tail) of sum(c * x^m for m, c in terms), with
     integer c and leading monomial lm: its multiple with coprime
     coefficients and lc > 0, the other terms in tail as (mono, coeff)
     pairs."""
     tail = dict(terms)
+    top = max(map(abs, tail.values()))
     lc = tail.pop(lm)
     content = gcd(lc, *tail.values())
+    _check_size(top // content)
     if lc < 0:
         content = -content
     return (lm, lc // content,
@@ -466,6 +494,8 @@ def _reduce(work, members, pack, counter):
                     work[m] //= content
                 for m in rem:
                     rem[m] //= content
+            _check_size(max(map(abs, (*work.values(), *rem.values())),
+                            default=0))
     return list(rem.items()), num, den
 
 
@@ -512,7 +542,14 @@ def s_polynomial(f, g, order):
     return _polynomial(pack, list(work.items()), Fraction(1, den))
 
 
-def _pair_loop(polys, order, max_reductions):
+def _colength(gens, n):
+    """Number of monomials outside the monomial ideal generated by gens,
+    which needs a pure power on every axis: the cut-family count of
+    ``kernels.table_column`` at r = 0, which takes gens minimal or not."""
+    return kernels.table_column(kernels.prepare_power(gens), [0], n)[0]
+
+
+def _pair_loop(polys, order, max_reductions, colength=None):
     """Buchberger's pair loop: a Groebner basis of the ideal of polys, not
     a reduced one.
 
@@ -527,6 +564,15 @@ def _pair_loop(polys, order, max_reductions):
     lcm(lm_i, lm_j) and neither (i, k) nor (j, k) is still queued (chain
     criterion).  Each heap entry carries its encoded lcm.  Every division
     step counts against max_reductions; a negative cap is an error.
+
+    colength, when given, is dim_Q Q[x]/I (None: no stop).  Once every
+    axis has a pure-power leading monomial, the loop counts the colength
+    of the leading monomials each time a member joins, and returns when it
+    equals colength: those monomials generate an ideal inside in(I) with
+    the colength of in(I) (Macaulay), so they generate in(I) and every
+    queued pair reduces to zero (Traverso 1996).  The members are then a
+    Groebner basis too.
+
     Returns (members, exps, counter, pack): the members in insertion
     order, their decoded leading monomials, the step counter and the
     packing.
@@ -540,8 +586,10 @@ def _pair_loop(polys, order, max_reductions):
     guard, ones = pack.guard, pack.ones
     counter = _StepCounter(max_reductions)
     basis, lms, exps, supports, pairs, queued = [], [], [], [], [], set()
+    pure = 0  # the guard bits of the axes with a pure-power leading monomial
 
     def add(member):
+        nonlocal pure
         lm, j = member[0], len(basis)
         e = pack.decode(lm)
         # the guard bits of the fields where lm has a nonzero exponent
@@ -555,6 +603,12 @@ def _pair_loop(polys, order, max_reductions):
         lms.append(lm)
         exps.append(e)
         supports.append(support)
+        if not support & (support - 1):
+            pure |= support
+
+    def complete():
+        return (colength is not None and pure == guard
+                and _colength(exps, pack.n) == colength)
 
     def chained(i, j, top):
         q = top | guard
@@ -567,7 +621,8 @@ def _pair_loop(polys, order, max_reductions):
 
     for p in polys:
         add(_member(p, pack))
-    while pairs:
+    done = complete()
+    while pairs and not done:
         _, i, j, top = heapq.heappop(pairs)
         queued.discard((i, j))
         if chained(i, j, top):
@@ -576,6 +631,7 @@ def _pair_loop(polys, order, max_reductions):
                       pack, counter)[0]
         if rem:
             add(_primitive(rem, rem[0][0]))
+            done = complete()
     return basis, exps, counter, pack
 
 
@@ -643,15 +699,26 @@ def order_sweep(polys, orders, *, max_reductions=MAX_REDUCTIONS):
     would trivialize the problem).  Each order gets a Groebner basis from
     ``_pair_loop``, and its initial ideal is generated by the basis's
     leading monomials, so no reduced basis is built; max_reductions caps
-    the pair loop's division steps of each order.  Each distinct initial
-    ideal gets its exact threshold c_initial once; the orders are ranked by
-    c_initial, largest first, ties to the earlier order in the list.  Only
-    the best-ranked order is fitted (multiplicity sequence and main bound,
-    when its initial ideal has an isolated zero), and the next one when
-    that fit fails.  Only a ResourceCapError of one order is tolerated,
-    from the pair loop or from the fit (an unstable fit is one); any other
-    error propagates, and when every order fails the error of the first
-    order in the list is raised.
+    the pair loop's division steps of each order.
+
+    Every order's initial ideal has the colength D = dim_Q Q[x]/I
+    (Macaulay; Cox, Little and O'Shea, ch. 5 §3), infinite when I is not
+    zero-dimensional.  The first order whose pair loop completes gives D;
+    every later order's initial ideal must have it too, or the sweep
+    raises ``InvariantError``.  Each later pair loop gets D and stops once
+    its leading monomials have colength D (Traverso, J. Symbolic Comput.
+    1996), which leaves its initial ideal unchanged; with D infinite it
+    never stops.
+
+    Each distinct initial ideal gets its exact threshold c_initial once,
+    from the Howald LP (``thresholds.howald_lct``, equal to Kiselman's by
+    LP duality); the orders are ranked by c_initial, largest first, ties to
+    the earlier order in the list.  Only the best-ranked order is fitted
+    (multiplicity sequence and main bound, when its initial ideal has an
+    isolated zero), and the next one when that fit fails.  Only a
+    ResourceCapError of one order is tolerated, from the pair loop or from
+    the fit (an unstable fit is one); any other error propagates, and when
+    every order fails the error of the first order in the list is raised.
     """
     if not orders:
         raise ValueError("need at least one order")
@@ -661,18 +728,28 @@ def order_sweep(polys, orders, *, max_reductions=MAX_REDUCTIONS):
     errors = {}
     ranked = []
     lcts = {}
+    length = None  # D, once an order's pair loop has completed
     for i, order in enumerate(orders):
         try:
-            _, exps, _, pack = _pair_loop(polys, order, max_reductions)
+            _, exps, _, pack = _pair_loop(polys, order, max_reductions,
+                                          length)
         except ResourceCapError as exc:
             errors[i] = exc
             continue
         j0 = normalize_generators(exps, pack.n)
         if j0.is_unit:
             raise UnitIdealError("the ideal is the unit ideal")
+        here = (_colength(j0.generators, j0.n) if is_isolated_zero(j0)
+                else inf)
+        if length is None:
+            length = here
+        elif here != length:
+            raise InvariantError(
+                f"the initial ideal of order {i} has colength {here}, "
+                f"not {length}")
         c = lcts.get(j0.generators)
         if c is None:
-            c = lcts[j0.generators] = thresholds.kiselman_lct(j0).c
+            c = lcts[j0.generators] = thresholds.howald_lct(j0)
         ranked.append((c, i, j0))
     ranked.sort(key=lambda r: -r[0])  # stable: ties keep the list order
     for c, i, j0 in ranked:

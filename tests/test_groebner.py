@@ -1,10 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
-from conftest import ref_buchberger, ref_reduce, ref_s_polynomial
+from conftest import colength, ref_buchberger, ref_reduce, ref_s_polynomial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -312,6 +316,56 @@ class TestFieldGuard:
         assert out == ""
         assert err.startswith("resource cap: an exponent passed 15")
         assert "Traceback" not in err
+
+
+#: A lex (x3 > x2 > x1) run whose coefficients grow past 16384 bits within
+#: about 2000 division steps.
+COEFFICIENT_GROWTH = {
+    "n": 3,
+    "polynomials": ["-3*x1^2*x2*x3 + x1^2 - x1*x2*x3",
+                    "-2*x1^2*x2^2*x3^2 + x2^2",
+                    "2*x1^2*x2^2*x3 - 2*x1^2*x2^2 + x3^2"],
+    "order": {"kind": "lex", "precedence": [3, 2, 1]}}
+
+
+class TestCoefficientBudget:
+    """A coefficient past _COEFFICIENT_BITS raises ResourceCapError."""
+
+    def test_member_coefficients_after_the_content(self):
+        pack = groebner._Packing(LEX12, 2, 3)
+        a, b = pack.encode((1, 0)), pack.encode((0, 1))
+        top = (1 << groebner._COEFFICIENT_BITS) - 1
+        # 2 * top has one bit more, but the content 2 divides it out
+        assert groebner._primitive([(a, 2 * top), (b, 2)], a) == \
+            (a, top, ((b, 1),))
+        with pytest.raises(ResourceCapError, match="4096 bits"):
+            groebner._primitive([(a, 3), (b, 2 * (top + 1))], a)
+
+    def test_reduce_checks_where_it_takes_the_content(self, monkeypatch):
+        # each step scales the remainder 3 * x2^50 by 3, so the content
+        # stays 1 while its bit length grows
+        polys = [parse_polynomial("x1^50 + x2^50", 2),
+                 parse_polynomial("3*x1 - x2", 2)]
+        assert normal_form(*polys[:1], polys[1:], LEX12) == \
+            Polynomial(2, {(0, 50): 1 + F(1, 3 ** 50)})
+        monkeypatch.setattr(groebner, "_COEFFICIENT_BITS", 60)
+        with pytest.raises(ResourceCapError, match="60 bits"):
+            normal_form(*polys[:1], polys[1:], LEX12)
+
+    @pytest.mark.parametrize("pure", ["0", "1"])
+    def test_coefficient_growth_exits_5_promptly(self, tmp_path, pure):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "LCTK_PURE_PYTHON": pure}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(COEFFICIENT_GROWTH))
+        done = subprocess.run(
+            [sys.executable, "-m", "lctk.cli", "--max-steps", "3000",
+             "groebner-bound", str(path)],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert done.returncode == 5
+        assert done.stdout == ""
+        assert done.stderr.startswith(
+            "resource cap: a coefficient passed 4096 bits")
 
 
 class TestBuchberger:
@@ -708,27 +762,50 @@ class TestOrderSweep:
     def test_invariant_error_of_one_order_propagates(self, monkeypatch):
         from lctk import InvariantError, thresholds
 
-        real = thresholds.kiselman_lct
+        real = thresholds.howald_lct
 
         def broken_for_lex21(ideal):
             if ideal.generators == ((0, 3),):  # the initial ideal of LEX21
                 raise InvariantError("injected")
             return real(ideal)
 
-        monkeypatch.setattr(thresholds, "kiselman_lct", broken_for_lex21)
+        monkeypatch.setattr(thresholds, "howald_lct", broken_for_lex21)
         polys = [parse_polynomial("x1^2 + x2^3", 2)]
         with pytest.raises(InvariantError, match="injected"):
             order_sweep(polys, [LEX12, LEX21])
+
+    def test_colength_mismatch_is_an_invariant_error(self, monkeypatch):
+        """Every order's initial ideal has the colength of the first one
+        (Macaulay); a later order whose pair loop lost a member it needs
+        has a larger one, and the sweep raises."""
+        from lctk import InvariantError
+
+        real = groebner._pair_loop
+        polys, lex = seeded_ideal(5, 2), pinned_orders(2)["lex"]
+
+        def dropping_for_lex(polys, order, max_reductions, colength=None):
+            basis, exps, counter, pack = real(polys, order, max_reductions)
+            if order == lex:
+                # in(I) = (x2^2, x1^2 * x2, x1^5), of colength 7, needs
+                # x1^2 * x2; the members left have x1^3 * x2 in its place
+                keep = [k for k, e in enumerate(exps) if e != (2, 1)]
+                basis, exps = [basis[k] for k in keep], [exps[k] for k in keep]
+            return basis, exps, counter, pack
+
+        monkeypatch.setattr(groebner, "_pair_loop", dropping_for_lex)
+        order_sweep(polys, [default_order(2), pinned_orders(2)["grevlex"]])
+        with pytest.raises(InvariantError, match="colength 8, not 7"):
+            order_sweep(polys, [default_order(2), lex])
 
     def test_resource_error_of_one_order_is_tolerated(self, monkeypatch):
         from lctk import DegreeCapError, groebner
 
         real = groebner._pair_loop
 
-        def capped_for_lex12(polys, order, max_reductions):
+        def capped_for_lex12(polys, order, max_reductions, colength):
             if order == LEX12:
                 raise DegreeCapError("injected")
-            return real(polys, order, max_reductions)
+            return real(polys, order, max_reductions, colength)
 
         monkeypatch.setattr(groebner, "_pair_loop", capped_for_lex12)
         polys = [parse_polynomial("x1^2 + x2^3", 2)]
@@ -739,14 +816,14 @@ class TestOrderSweep:
                                                          monkeypatch):
         from lctk import thresholds
 
-        real = thresholds.kiselman_lct
+        real = thresholds.howald_lct
         seen = []
 
         def counted(ideal):
             seen.append(ideal.generators)
             return real(ideal)
 
-        monkeypatch.setattr(thresholds, "kiselman_lct", counted)
+        monkeypatch.setattr(thresholds, "howald_lct", counted)
         polys = [parse_polynomial("x1^2 + x2^3", 2)]
         cert = order_sweep(polys, [LEX21, default_order(2)])
         # both orders give (x2^3): one LP, and the tie goes to LEX21
@@ -786,6 +863,78 @@ class TestOrderSweep:
                       *oracle_orders(n).values()):
             assert certified_lct_lower_bound(polys, order).initial == \
                 initial_ideal(buchberger(polys, order), order)
+
+
+@pytest.fixture
+def sweep_steps(monkeypatch):
+    """run(polys, orders) -> (certificate, the division steps of each
+    order's pair loop in one sweep, in order), counted by wrapping
+    _reduce."""
+    real = groebner._reduce
+    steps = {}
+
+    def counted(work, members, pack, counter):
+        left = counter.left
+        try:
+            return real(work, members, pack, counter)
+        finally:
+            steps[counter] = steps.get(counter, 0) + left - counter.left
+
+    monkeypatch.setattr(groebner, "_reduce", counted)
+
+    def run(polys, orders):
+        steps.clear()
+        cert = order_sweep(polys, orders)
+        return cert, list(steps.values())
+
+    return run
+
+
+class TestColengthStop:
+    """A pair loop handed the ideal's colength stops once its leading
+    monomials reach it; the sweep hands it to every order after the
+    first."""
+
+    @pytest.mark.parametrize("shape, n, seed", [
+        ("seeded", 2, 5), ("seeded", 3, 1),
+        *(("shaped", 2, seed) for seed in range(6)), ("shaped", 3, 7)])
+    def test_stopped_loop_yields_the_initial_ideal(self, shape, n, seed):
+        polys = {"seeded": seeded_ideal, "shaped": shaped_ideal}[shape](
+            seed, n)
+        for order in (*pinned_orders(n).values(),
+                      *oracle_orders(n).values()):
+            want = initial_ideal(buchberger(polys, order), order)
+            exps = groebner._pair_loop(polys, order, groebner.MAX_REDUCTIONS,
+                                       colength(want))[1]
+            assert groebner.normalize_generators(exps, n) == want
+
+    def test_a_later_order_makes_fewer_steps(self, sweep_steps):
+        polys, lex = seeded_ideal(5, 2), pinned_orders(2)["lex"]
+        alone, (lex_alone,) = sweep_steps(polys, [lex])
+        both, (_, lex_later) = sweep_steps(polys, [default_order(2), lex])
+        assert lex_later < lex_alone
+        # lex wins both sweeps, with the same initial ideal
+        assert both == alone
+
+    def test_not_zero_dimensional_never_stops(self, sweep_steps):
+        # the common factor x1 leaves the x2-axis outside every in(I)
+        polys = [parse_polynomial("x1^2 + x1*x2", 2),
+                 parse_polynomial("x1*x2^2", 2)]
+        orders = [default_order(2), LEX12, LEX21]
+        cert, steps = sweep_steps(polys, orders)
+        assert steps == [s for order in orders
+                         for s in sweep_steps(polys, [order])[1]]
+        assert (cert.order, cert.initial.generators, cert.c_initial) == \
+            (LEX21, ((1, 1), (3, 0)), 1)
+        assert cert.mults is None
+
+    @pytest.mark.parametrize("n, seeds", [(2, range(6)), (3, (1, 7))])
+    def test_howald_threshold_is_kiselmans(self, n, seeds):
+        for seed in seeds:
+            polys = seeded_ideal(seed, n)
+            for order in pinned_orders(n).values():
+                cert = certified_lct_lower_bound(polys, order)
+                assert cert.c_initial == kiselman_lct(cert.initial).c
 
 
 class TestOrderSweepFit:
@@ -841,10 +990,10 @@ class TestOrderSweepFit:
 
         real = groebner._pair_loop
 
-        def capped_for_lex12(polys, order, max_reductions):
+        def capped_for_lex12(polys, order, max_reductions, colength):
             if order == LEX12:
                 raise ResourceCapError("basis of LEX12")
-            return real(polys, order, max_reductions)
+            return real(polys, order, max_reductions, colength)
 
         def unstable(ideal):
             raise UnstableFitError("fit of LEX21")
