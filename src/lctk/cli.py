@@ -149,7 +149,7 @@ def cmd_bounds(args):
         seq, c = sequence_from_dict(data)
     else:
         raise SchemaError('expected an ideal or {"e": [...]} sequence')
-    brep = build_bounds_report(seq, c)
+    brep = _checked(build_bounds_report, seq=seq, c=c)
     payload = {"e": list(seq.e), "bounds": bounds_report_to_dict(brep)}
     if c is not None:
         payload["c"] = frac_str(c)
@@ -223,7 +223,8 @@ def cmd_groebner_bound(args):
             MonomialOrder("lex", precedence=perm)
             for perm in permutations(range(1, n + 1))
         ]
-    cert = order_sweep(polys, orders, max_reductions=args.max_steps)
+    cert = _checked(order_sweep, polys=polys, orders=orders,
+                    max_reductions=args.max_steps)
     payload = lower_bound_certificate_to_dict(cert)
     _emit(payload)
     _say(payload["guarantee"])

@@ -132,10 +132,11 @@ class MonomialOrder:
     kind is one of lex, grevlex, weighted; precedence lists 1-based variable
     indices from most to least significant (None: x1 > x2 > ..., in any
     number of variables); weighted orders carry positive per-variable
-    weights plus a tiebreak kind, and only they take weights.  Construction
-    checks that the precedence is a permutation of 1..len(precedence), in
-    ints, and reads each weight as an exact rational (a float as the decimal
-    it prints as; a bool, a string or anything else that is not a real
+    weights plus a tiebreak kind, lex or grevlex (None reads as grevlex),
+    and only they take weights or a tiebreak.  Construction checks that
+    the precedence is a permutation of 1..len(precedence), in ints, and
+    reads each weight as an exact rational (a float as the decimal it
+    prints as; a bool, a string or anything else that is not a real
     number not at all), scaled once to integers, so weighted keys are
     exact; ``weights`` keeps the values as given.  ``key`` checks
     only that the monomial's length matches the precedence and the weights.
@@ -144,20 +145,18 @@ class MonomialOrder:
     kind: str
     precedence: tuple = None
     weights: tuple = None
-    tiebreak: str = "grevlex"
+    tiebreak: str = None
 
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex", "weighted"):
             raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.tiebreak not in ("lex", "grevlex"):
-            raise ValueError(f"unknown tiebreak {self.tiebreak!r}")
         p = self.precedence
         if p is not None and (
                 not all(type(i) is int for i in p)
                 or sorted(p) != list(range(1, len(p) + 1))):
             raise ValueError(
                 f"precedence {p} is not a permutation of 1..{len(p)}")
-        int_weights = None
+        int_weights, tie = None, self.kind
         if self.kind == "weighted":
             if not self.weights or not all(
                     isinstance(w, Real) and not isinstance(w, bool)
@@ -167,13 +166,15 @@ class MonomialOrder:
             int_weights = tuple(_integers([
                 Fraction(str(w)) if isinstance(w, float) else w
                 for w in self.weights])[0])
-        elif self.weights is not None:
-            raise ValueError(
-                f"weights belong to weighted orders only, not {self.kind}")
+            tie = "grevlex" if self.tiebreak is None else self.tiebreak
+            if tie not in ("lex", "grevlex"):
+                raise ValueError(f"unknown tiebreak {tie!r}")
+            object.__setattr__(self, "tiebreak", tie)
+        elif self.weights is not None or self.tiebreak is not None:
+            raise ValueError("weights and a tiebreak belong to weighted "
+                             f"orders only, not {self.kind}")
         object.__setattr__(self, "_int_weights", int_weights)
-        object.__setattr__(self, "_grevlex", (
-            self.tiebreak if self.kind == "weighted" else self.kind)
-            == "grevlex")
+        object.__setattr__(self, "_grevlex", tie == "grevlex")
 
     def key(self, mono):
         """Sort key, one flat tuple of integers: larger key means larger
@@ -216,8 +217,9 @@ def parse_polynomial(text, n):
     is an integer (optionally /integer) or a variable with optional ^power.
 
     Like terms combine; a zero result is an error, as is any variable index
-    outside 1..n.
+    outside 1..n.  n is read by ``lattice.natural``.
     """
+    n = natural(n, "the number of variables")
     tokens = []
     for m in _TOKEN.finditer(text):
         if m.group(4):

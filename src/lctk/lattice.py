@@ -9,8 +9,11 @@ the n of JSON input all pass through it.  ``rational`` is the one reader
 of the rationals a library call takes: threshold weights, Lelong and
 Newton points, the probe's c, and the vectors, c and radicands of
 ``bounds``.  ``_integers`` is the package's one scaler of rationals to
-integers.  Colengths are counted by the colength table
-(``multiplicities.hilbert_table`` through ``kernels.table_column``).
+integers.  ``_pure_powers`` is the one reader of the per-axis pure powers:
+``is_isolated_zero``, the fit's bases and its diagonal weights read them.
+Colengths are counted by ``kernels.table_column``, which both the colength
+table (``multiplicities``) and the Groebner sweep (``groebner._colength``)
+call.
 """
 
 from dataclasses import dataclass
@@ -126,13 +129,13 @@ def diagonal_ideal(weights):
          for i in range(n)], n)
 
 
-def is_isolated_zero(ideal):
-    """True iff each axis carries a pure-power generator (finite colength).
+def _pure_powers(ideal):
+    """{axis: the exponent of its pure-power generator}, for the axes that
+    have one; the zero generator of the unit ideal is z_i^0 of every axis."""
+    return {axis: e for g in ideal.generators if g.count(0) >= ideal.n - 1
+            for axis, e in enumerate(g) if e == max(g)}
 
-    The unit ideal qualifies vacuously through its zero generator.
-    """
-    for axis in range(ideal.n):
-        if not any(all(e == 0 for i, e in enumerate(g) if i != axis)
-                   for g in ideal.generators):
-            return False
-    return True
+
+def is_isolated_zero(ideal):
+    """True iff each axis carries a pure-power generator (finite colength)."""
+    return len(_pure_powers(ideal)) == ideal.n

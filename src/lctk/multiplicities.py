@@ -28,7 +28,7 @@ from .errors import (
     UnitIdealError,
     UnstableFitError,
 )
-from .lattice import is_isolated_zero, natural
+from .lattice import _pure_powers, is_isolated_zero, natural
 
 #: The largest base a fit tries.
 BASE_CAP = 64
@@ -138,7 +138,7 @@ class _CellCounter:
 
     With an isolated zero every axis needs a pure power of its own, so the
     ideal is diagonal exactly when it has n minimal generators; its weights
-    are their degrees, and a per-axis aggregated count gives each cell.
+    are its pure powers, and a per-axis aggregated count gives each cell.
     Everything else counts the complement of the implicit cut family built
     from minimal generators of J^t, the new rs of one column per call, so
     the product ideal itself is never materialized.
@@ -149,7 +149,7 @@ class _CellCounter:
         self.ideal = ideal
         # t by t, ascending r: the order of every table's values
         self.offsets = sorted(_staircase(ideal.n), key=itemgetter(1, 0))
-        self.weights = tuple(sorted(map(sum, ideal.generators))) \
+        self.weights = tuple(sorted(_pure_powers(ideal).values())) \
             if len(ideal.generators) == ideal.n else None
         self.cells = {}
         self.powers = {}
@@ -240,9 +240,7 @@ def _bases(ideal):
     fit climbs past it when it does not.  Some ideals accept well below
     b, so a smaller e_1 starts the fit: (x^20, x y^5, y^20) accepts at
     e_1 = 6, with b = 19."""
-    pure = sorted(sum(g) for g in ideal.generators
-                  if g.count(0) == ideal.n - 1)
-    b = sum(p - 1 for p in pure[:-1])
+    b = sum(p - 1 for p in sorted(_pure_powers(ideal).values())[:-1])
     return range(min(first_multiplicity(ideal), b, BASE_CAP), BASE_CAP + 1)
 
 

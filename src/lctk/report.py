@@ -16,8 +16,8 @@ from operator import mul
 
 from . import bounds as bounds_mod
 from .bounds import EQ, GT, build_bounds_report, f_value, validate_sequence
-from .errors import NonIsolatedError, ResourceCapError
-from .lattice import is_isolated_zero, natural, normalize_generators
+from .errors import ResourceCapError
+from .lattice import natural, normalize_generators
 from .multiplicities import (
     covolume_times_factorial,
     first_multiplicity,
@@ -49,9 +49,8 @@ class IdealReport:
 
 
 def build_ideal_report(ideal):
-    """Full verification report; requires an isolated zero."""
-    if not is_isolated_zero(ideal):
-        raise NonIsolatedError(f"report requires an isolated zero: {ideal}")
+    """Full verification report; requires an isolated zero (the fit raises
+    ``NonIsolatedError`` without one)."""
     cert = kiselman_lct(ideal)
     dual = howald_lct(ideal)
     checks = {}

@@ -9,7 +9,9 @@ import random
 import sys
 import time
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
+from math import prod
+from operator import mul
 
 import pytest
 
@@ -263,3 +265,45 @@ def test_criterion_9_covolume_cross_check(cusp_report, diagonal_sweep,
             bad += 1
     announce(9, bad == 0,
              f"top multiplicity equals n! * covolume on {checked} ideals")
+
+
+def pure_powers(J):
+    """The pure-power exponent of each axis of an isolated-zero ideal."""
+    powers = {g.index(max(g)): max(g) for g in J.generators
+              if g.count(0) == J.n - 1}
+    return [powers[axis] for axis in range(J.n)]
+
+
+def above_pure_hyperplane(J, p):
+    """Every generator g has sum_i g_i * prod_{j != i} p_j >= prod_j p_j,
+    i.e. sum_i g_i / p_i >= 1: the Newton polyhedron of J is that of its
+    pure powers, whose one compact facet is the simplex on the p_i e_i."""
+    top = prod(p)
+    return all(sum(gi * (top // pi) for gi, pi in zip(g, p)) >= top
+               for g in J.generators)
+
+
+def test_sharp_witness(diagonal_sweep, random_corpus):
+    # e and c depend only on the Newton polyhedron, so an ideal above its
+    # pure-power hyperplane has e_j = p_(1) ... p_(j), sorted, and
+    # c = sum 1/p_i, the main bound of that sequence: it is sharp.  The
+    # converse is counted, not asserted.
+    cases = [(J, fitted.mults.e, cert.c,
+              lctk.main_bound(fitted.mults) == cert.c)
+             for _, J, cert, fitted in diagonal_sweep[0]]
+    cases += [(J, rep.mults.e, rep.certificate.c, rep.sharp)
+              for J, rep in random_corpus[0]]
+    witnessed = sharp_without = 0
+    for J, e, c, sharp in cases:
+        p = pure_powers(J)
+        if above_pure_hyperplane(J, p):
+            witnessed += 1
+            assert sharp is True, J
+            assert e == tuple(accumulate(sorted(p), mul, initial=1)), J
+            assert c == sum(F(1, pi) for pi in p), J
+        elif sharp:
+            sharp_without += 1
+    print(f"sharp witness: {witnessed} of {len(cases)} ideals above their "
+          f"pure-power hyperplane, all sharp; {sharp_without} sharp "
+          f"ideals below it", file=sys.stderr)
+    assert witnessed > len(diagonal_sweep[0])

@@ -343,11 +343,30 @@ class TestInputContract:
         ("lct", {"n": 2, "generators": [[1, 0], [0, 1]], "x": 1}, []),
         ("bounds", {"n": 2, "generators": [[2, 0], [0, 3]], "x": 1}, []),
         ("bounds", {"e": [1, 2, 6], "c": "5/6", "extra": 1}, []),
+        ("groebner-bound", {"n": 2, "polynomials": ["1 + x1^2", "x2^3"]},
+         ["--sweep"]),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "orders": [{"kind": "lex"},
+                                       {"kind": "lex",
+                                        "precedence": [1, 2, 3]}]},
+         ["--sweep"]),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "lex", "tiebreak": None}},
+         []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "weighted", "weights": [1, 2],
+                                      "tiebreak": None}},
+         []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3"],
+                            "order": {"kind": "weighted", "weights": [1, 2],
+                                      "tiebreak": "nonsense"}},
+         []),
     ])
     def test_exit_2(self, tmp_path, capsys, command, payload, extra):
-        code, _, err = run(capsys, [command, write(tmp_path, "in.json",
-                                                   payload)] + extra)
+        code, out, err = run(capsys, [command, write(tmp_path, "in.json",
+                                                     payload)] + extra)
         assert code == 2
+        assert out == ""
         assert err.startswith("input error:")
 
     @pytest.mark.parametrize("weight", ["nan", "a", None, [1]])

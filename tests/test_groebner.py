@@ -20,8 +20,10 @@ from lctk import (
     certified_lct_lower_bound,
     default_order,
     diagonal_lct,
+    howald_lct,
     initial_ideal,
     kiselman_lct,
+    normalize_generators,
     order_sweep,
     parse_polynomial,
 )
@@ -115,6 +117,24 @@ class TestOrders:
     def test_weights_belong_to_weighted_orders(self, kind):
         with pytest.raises(ValueError, match="weighted orders only"):
             MonomialOrder(kind, weights=(5, 1))
+
+    @pytest.mark.parametrize("kind", ["lex", "grevlex"])
+    @pytest.mark.parametrize("tiebreak", ["lex", "grevlex"])
+    def test_tiebreak_belongs_to_weighted_orders(self, kind, tiebreak):
+        with pytest.raises(ValueError, match="weighted orders only"):
+            MonomialOrder(kind, tiebreak=tiebreak)
+
+    def test_weighted_tiebreak_defaults_to_grevlex(self):
+        plain = MonomialOrder("weighted", precedence=(2, 1), weights=(3, 1))
+        explicit = MonomialOrder("weighted", precedence=(2, 1),
+                                 weights=(3, 1), tiebreak="grevlex")
+        assert plain == explicit and hash(plain) == hash(explicit)
+        assert plain.tiebreak == "grevlex"
+        assert plain != MonomialOrder("weighted", precedence=(2, 1),
+                                      weights=(3, 1), tiebreak="lex")
+        assert all(plain.key(m) == explicit.key(m)
+                   for m in product(range(4), repeat=2))
+        assert order_to_dict(plain) == order_to_dict(explicit)
 
     @pytest.mark.parametrize("fields", [
         {"precedence": (True, 2)},
@@ -666,6 +686,50 @@ class TestAgainstReference:
         assert normal_form(poly, gb, order) is None
         scaled = Polynomial(2, {m: big * v for m, v in f.terms.items()})
         assert s_polynomial(f, scaled, order) is None
+
+
+class TestAgainstSympy:
+    """buchberger against an independent implementation: sympy's reduced
+    Groebner basis over QQ, which is monic as lctk's is (over ZZ sympy
+    returns primitive integer bases instead).  sympy is in no dependency
+    list, so the test skips where it is not installed."""
+
+    def test_reduced_bases_agree(self):
+        sympy = pytest.importorskip("sympy")
+        x1, x2 = sympy.symbols("x1 x2")
+        cases = [(LEX12, "lex", (x1, x2)), (LEX21, "lex", (x2, x1)),
+                 (default_order(2), "grevlex", (x1, x2))]
+        compared = 0
+        for seed in range(40):
+            polys = shaped_ideal(seed, 2)
+            exprs = [sum(sympy.Rational(c.numerator, c.denominator)
+                         * x1 ** a * x2 ** b for (a, b), c in p.terms.items())
+                     for p in polys]
+            for order, name, gens in cases:
+                want = {frozenset((m, F(str(c))) for m, c in
+                                  sympy.Poly(g, x1, x2).terms())
+                        for g in sympy.groebner(exprs, *gens, order=name,
+                                                domain="QQ").exprs}
+                got = {frozenset(g.terms.items())
+                       for g in buchberger(polys, order)}
+                assert got == want, (seed, order)
+                compared += 1
+        assert compared == 120
+
+
+class TestTermIdealBound:
+    """I lies in T(I), the monomial ideal of every monomial of every input
+    generator, so lct_0(I) <= lct(T(I)); a certified lower bound above
+    lct(T(I)) would be wrong."""
+
+    def test_c_initial_at_most_term_ideal_threshold(self):
+        orders = [default_order(2), LEX12, LEX21]
+        for seed in range(200):
+            polys = shaped_ideal(seed, 2)
+            term_ideal = normalize_generators(
+                [m for p in polys for m in p.terms], 2)
+            cert = order_sweep(polys, orders)
+            assert cert.c_initial <= howald_lct(term_ideal), seed
 
 
 class TestInitialIdeal:

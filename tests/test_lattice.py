@@ -25,7 +25,7 @@ from lctk import (
     refined_lelong,
     unit_ideal,
 )
-from lctk.lattice import rational
+from lctk.lattice import _pure_powers, rational
 
 from conftest import brute_colength, colength, product_ideal
 
@@ -184,6 +184,25 @@ class TestIsolated:
 
     def test_unit(self):
         assert is_isolated_zero(unit_ideal(3))
+
+    def test_pure_power_reader(self):
+        assert _pure_powers(normalize_generators(
+            [(0, 0, 5), (1, 1, 0), (3, 0, 0)], 3)) == {0: 3, 2: 5}
+        assert _pure_powers(normalize_generators([(4,)], 1)) == {0: 4}
+        assert _pure_powers(unit_ideal(2)) == {0: 0, 1: 0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=6)))
+    def test_pure_powers_decide_isolation(self, gens):
+        J = normalize_generators(gens, len(gens[0]))
+        powers = _pure_powers(J)
+        for axis in range(J.n):
+            pure = [g for g in J.generators
+                    if all(e == 0 for i, e in enumerate(g) if i != axis)]
+            assert [g[axis] for g in pure] == (
+                [powers[axis]] if axis in powers else [])
+        assert is_isolated_zero(J) == (len(powers) == J.n)
 
 
 class TestColength:

@@ -1,9 +1,11 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import lctk
+from lctk import _staircase_py
 from lctk.errors import DegreeCapError, ResourceCapError, UnstableFitError
 
 PACKAGE = Path(lctk.__file__).resolve().parent
@@ -80,3 +82,23 @@ def test_only_thresholds_imports_simplex():
                     and "simplex" in {a.name for a in node.names}):
                 found.append(path.name)
     assert set(found) == {"thresholds.py"}
+
+
+def test_perfbench_tracer_names_resolve():
+    # perfbench's tracer wraps functions by name; a renamed or removed one
+    # would make `perfbench/run.py --trace 1` fail.  The tracer is read as
+    # source, not imported.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(), str(path))
+    names = {target.id: ast.literal_eval(node.value)
+             for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets
+             if getattr(target, "id", None) in ("TRACED", "LANE_FUNCTIONS")}
+    traced, lanes = names["TRACED"], names["LANE_FUNCTIONS"]
+    assert traced and lanes
+    missing = [f"{module}.{name}" for module, name in traced
+               if not callable(getattr(importlib.import_module(
+                   f"lctk.{module}"), name, None))]
+    missing += [f"_staircase_py.{name}" for name in lanes
+                if not callable(getattr(_staircase_py, name, None))]
+    assert missing == []
