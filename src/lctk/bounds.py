@@ -6,6 +6,9 @@ sequence inequalities.
 Every verdict is exact.  Comparisons against n-th roots happen in the power
 domain with integers; the one genuinely two-root comparison in the chain is
 settled by a rational equality criterion plus certified dyadic bracketing.
+The bound functional sums in integers on one common denominator and makes
+one Fraction at the end, cone membership compares int entries as ints,
+and a bounds report computes its main bound once, for the chain too.
 A sequence is (1, e_1, ..., e_n) with n >= 1 and positive integer entries,
 validated as a MultiplicitySequence, so e_1 >= 1 and every bound is a
 finite rational.
@@ -16,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .lattice import rational
+from .lattice import _integers, rational
 from .multiplicities import MultiplicitySequence
 
 _ONE = Fraction(1)
@@ -31,12 +34,19 @@ def _sequence(seq):
     return MultiplicitySequence(seq)
 
 
+def _entries(t):
+    """t as a tuple: int entries as they are, every other entry read by
+    ``lattice.rational``."""
+    return tuple(v if type(v) is int else rational(v, "each entry")
+                 for v in t)
+
+
 def d_membership(t, *, strict=False):
     """Exact membership of a positive vector in the log-convex cone."""
-    t = tuple(rational(v, "each entry") for v in t)
+    t = _entries(t)
     if any(v <= 0 for v in t):
         raise ValueError("entries must be positive")
-    ext = (_ONE,) + t  # t_0 = 1 folds the first inequality into the rest
+    ext = (1,) + t  # t_0 = 1 folds the first inequality into the rest
     for j in range(1, len(t)):
         lhs, rhs = ext[j] ** 2, ext[j - 1] * ext[j + 1]
         if lhs > rhs or (strict and lhs == rhs):
@@ -46,18 +56,26 @@ def d_membership(t, *, strict=False):
 
 def f_value(t):
     """1/t_1 + t_1/t_2 + ... + t_{n-1}/t_n, exactly."""
-    t = tuple(rational(v, "each entry") for v in t)
+    t = _entries(t)
     if any(v == 0 for v in t):
         raise ValueError("entries must be nonzero")
-    total = _ONE / t[0]
-    for j in range(len(t) - 1):
-        total += t[j] / t[j + 1]
-    return total
+    return _f(t)
+
+
+def _f(t):
+    """f_value of nonzero rationals, summed in integers: with t = T / s on
+    one common denominator, 1/t_1 = s/T_1 and t_j/t_{j+1} = T_j/T_{j+1},
+    so one Fraction is made, at the end."""
+    ints, scale = _integers(t)
+    num, den = scale, ints[0]
+    for a, b in zip(ints, ints[1:]):
+        num, den = num * b + a * den, den * b
+    return Fraction(num, den)
 
 
 def main_bound(seq):
     """Sum of e_j / e_{j+1} for j < n: the bound functional at e_1..e_n."""
-    return f_value(_sequence(seq).e[1:])
+    return _f(_sequence(seq).e[1:])
 
 
 def skoda_interval(e1, n):
@@ -183,8 +201,12 @@ def chain_check(seq):
     """Exact verification that the main bound dominates the mixed bound,
     which dominates the geometric-mean bound."""
     seq = _sequence(seq)
+    return _chain(seq, main_bound(seq))
+
+
+def _chain(seq, mb):
+    """chain_check of a MultiplicitySequence whose main bound is mb."""
     e, n = seq.e, seq.n
-    mb = main_bound(seq)
     if n == 1:
         # both reference bounds collapse to 1/e_1
         wit = (mb, Fraction(1, e[1]))
@@ -257,6 +279,7 @@ def build_bounds_report(seq, c=None):
     lo, hi = skoda_interval(e[1], n)
     geometric_cmp = mixed_cmp = None
     details = []
+    main = main_bound(seq)
     if c is not None:
         c = rational(c, "c")
         geometric_cmp, gw = compare_geometric_bound(c, e[n], n)
@@ -267,9 +290,9 @@ def build_bounds_report(seq, c=None):
             mixed_cmp, mw = _cmp(c, Fraction(1, e[1])), ()
         details.append(("mixed", mw))
     return BoundsReport(
-        main=main_bound(seq), skoda_low=lo, skoda_high=hi,
+        main=main, skoda_low=lo, skoda_high=hi,
         geometric_cmp=geometric_cmp, mixed_cmp=mixed_cmp,
-        chain=chain_check(seq), in_cone=d_membership(e[1:]),
+        chain=_chain(seq, main), in_cone=d_membership(e[1:]),
         details=tuple(details))
 
 

@@ -95,6 +95,13 @@ _COEFFICIENT_BITS = 4096
 #: length of its largest input exponent (see ``_Packing``).
 _HEADROOM_BITS = 16
 
+#: Budget on n * W, the bits of a run's packed exponents, W = bits + 1 the
+#: field width; the order key on top of them takes about as many again.  A
+#: packing past it raises ``ResourceCapError`` before any key is built,
+#: since building the n unit keys costs about n^4 (x1 alone, in n = 250
+#: variables, needs 66750 bits).
+_PACKED_BITS = 1 << 16
+
 
 @dataclass
 class Polynomial:
@@ -339,13 +346,18 @@ class _Packing:
     and a field keeps its guard bit unless it goes below zero.  A sum of
     two valid monomials sets the guard bit of each field past bound; the
     engine tests each monomial it forms before storing it, and raises
-    ``ResourceCapError`` at the first one past bound.
+    ``ResourceCapError`` at the first one past bound.  A packing whose n
+    fields take more than ``_PACKED_BITS`` bits raises it at once.
     """
 
     __slots__ = ("n", "bound", "shifts", "units", "guard", "ones")
 
     def __init__(self, order, n, bits):
         width = bits + 1
+        if n * width > _PACKED_BITS:
+            raise ResourceCapError(
+                f"{n} exponent fields of {width} bits pass the packing "
+                f"budget of {_PACKED_BITS} bits")
         self.n, self.bound = n, (1 << bits) - 1
         self.shifts = tuple(range(0, n * width, width))
         self.guard = sum(1 << (s + bits) for s in self.shifts)

@@ -109,9 +109,9 @@ def table_column(power, rs, n):
     picks the lane of the whole column.
     """
     lane = _compiled if _column_ok(power, max(rs), n) else _py
+    gens, degrees = power.gens, power.degrees
     return [lane.count_cut_complement(
-        [(g, s + r) for g, s in zip(power.gens, power.degrees)], n)
-        for r in rs]
+        list(zip(gens, map(r.__add__, degrees))), n) for r in rs]
 
 
 def diagonal_cell(a, r, t):

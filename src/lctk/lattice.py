@@ -10,7 +10,9 @@ of the rationals a library call takes: threshold weights, Lelong and
 Newton points, the probe's c, and the vectors, c and radicands of
 ``bounds``.  ``_integers`` is the package's one scaler of rationals to
 integers.  ``_pure_powers`` is the one reader of the per-axis pure powers:
-``is_isolated_zero``, the fit's bases and its diagonal weights read them.
+``is_isolated_zero``, the fit's bases and its diagonal weights read them,
+and ``_pure_facet`` decides with them, in integers, whether the Newton
+polyhedron has one compact facet.
 Colengths are counted by ``kernels.table_column``, which both the colength
 table (``multiplicities``) and the Groebner sweep (``groebner._colength``)
 call.
@@ -18,7 +20,8 @@ call.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import mul
 
 from . import kernels
 from .errors import DimensionMismatchError, EmptyGeneratorsError
@@ -139,3 +142,24 @@ def _pure_powers(ideal):
 def is_isolated_zero(ideal):
     """True iff each axis carries a pure-power generator (finite colength)."""
     return len(_pure_powers(ideal)) == ideal.n
+
+
+def _pure_facet(ideal):
+    """The pure powers (p_1, ..., p_n), by axis, when the Newton polyhedron
+    P(J) is that of (z_1^p_1, ..., z_n^p_n), whose one compact facet is the
+    simplex on the p_i e_i; None when P(J) has more compact facets, and
+    for the unit ideal or without an isolated zero.
+
+    P(J) is that polyhedron exactly when every generator g lies on or
+    above the facet's hyperplane, sum_i g_i / p_i >= 1, tested in
+    integers as sum_i g_i * prod_{j != i} p_j >= prod_j p_j.
+    """
+    powers = _pure_powers(ideal)
+    if len(powers) != ideal.n or ideal.is_unit:
+        return None
+    p = tuple(powers[axis] for axis in range(ideal.n))
+    top = prod(p)
+    cofactors = [top // q for q in p]
+    if all(sum(map(mul, g, cofactors)) >= top for g in ideal.generators):
+        return p
+    return None

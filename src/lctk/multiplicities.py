@@ -1,10 +1,14 @@
 """Intermediate multiplicity sequences of isolated-zero monomial ideals.
 
 Mixed multiplicities of monomial ideals are mixed covolumes, so e_0..e_n
-come exactly from n! covol(P(m) + k P(J)) at k = 0..n.  Double
-description finds the compact facets of a Newton polyhedron, and a
-pulling triangulation of each one sums integer determinants; P(m) + k P(J)
-has one normal fan for every k > 0, so one double description and one
+come exactly from n! covol(P(m) + k P(J)) at k = 0..n.  They depend only
+on the Newton polyhedron P(J) (Teissier), so when P(J) has one compact
+facet, the simplex on the pure powers p_i e_i (``lattice._pure_facet``,
+one integer hyperplane test), e_j = p_(1) ... p_(j) of the sorted pure
+powers, with no polyhedral computation.  Otherwise double description
+finds the compact facets of a Newton polyhedron, and a pulling
+triangulation of each one sums integer determinants; P(m) + k P(J) has
+one normal fan for every k > 0, so one double description and one
 triangulation per ideal serve every k.  The bivariate colength table
 L(r, t) = colength(m^r * J^t) certifies the sequence: past a finite base
 it agrees with a polynomial of total degree n, and the mixed finite
@@ -28,7 +32,7 @@ from .errors import (
     UnitIdealError,
     UnstableFitError,
 )
-from .lattice import _pure_powers, is_isolated_zero, natural
+from .lattice import _pure_facet, _pure_powers, is_isolated_zero, natural
 
 #: The largest base a fit tries.
 BASE_CAP = 64
@@ -41,6 +45,13 @@ MAX_TOTAL_DEGREE = 512
 #: The fit reads the differences at the diagonal points (base + i, base + i)
 #: for i below this count.
 _POINTS = 3
+
+#: The order in which ``_CellCounter`` hands J's axes to the kernels, as
+#: ranks of their pure powers (0 the smallest), by n.  Both lanes slice
+#: the last axis, about p * t + r slices for its pure power p, and sweep
+#: the first, so at n = 3 the smallest pure power goes last, the middle
+#: one first.  Colengths do not depend on the order of the variables.
+_AXIS_RANKS = {3: (1, 2, 0)}
 
 
 @dataclass(frozen=True)
@@ -141,16 +152,21 @@ class _CellCounter:
     are its pure powers, and a per-axis aggregated count gives each cell.
     Everything else counts the complement of the implicit cut family built
     from minimal generators of J^t, the new rs of one column per call, so
-    the product ideal itself is never materialized.
+    the product ideal itself is never materialized; J's axes are permuted
+    into the order of ``_AXIS_RANKS`` first.
     """
 
     def __init__(self, ideal):
         _require_isolated(ideal, "colength table")
-        self.ideal = ideal
+        self.n = n = ideal.n
         # t by t, ascending r: the order of every table's values
-        self.offsets = sorted(_staircase(ideal.n), key=itemgetter(1, 0))
-        self.weights = tuple(sorted(_pure_powers(ideal).values())) \
-            if len(ideal.generators) == ideal.n else None
+        self.offsets = sorted(_staircase(n), key=itemgetter(1, 0))
+        powers = _pure_powers(ideal)
+        self.weights = tuple(sorted(powers.values())) \
+            if len(ideal.generators) == n else None
+        by_power = sorted(range(n), key=powers.__getitem__)
+        axes = [by_power[k] for k in _AXIS_RANKS.get(n, range(n))]
+        self.gens = [tuple(g[i] for i in axes) for g in ideal.generators]
         self.cells = {}
         self.powers = {}
 
@@ -167,15 +183,15 @@ class _CellCounter:
                 rs = [r for r, _ in column]
                 self.cells.update(zip(
                     [(r, t) for r in rs],
-                    kernels.table_column(self._power(t), rs, self.ideal.n)))
-        table = HilbertTable(n=self.ideal.n, base=base,
+                    kernels.table_column(self._power(t), rs, self.n)))
+        table = HilbertTable(n=self.n, base=base,
                              values={c: self.cells[c] for c in wanted})
         _check_strictly_increasing(table)
         return table
 
     def _power(self, t):
         if t not in self.powers:
-            gens, n = self.ideal.generators, self.ideal.n
+            gens, n = self.gens, self.n
             if t - 1 in self.powers:
                 power = kernels.product_minimal(
                     self.powers[t - 1].gens, gens, n, MAX_TOTAL_DEGREE)
@@ -385,6 +401,22 @@ def mixed_covolumes(ideal):
 
     Mixed multiplicities of monomial ideals are mixed covolumes (Teissier;
     Kaveh-Khovanskii 2014): n! covol(P(m) + k P(J)) = sum_j C(n, j) k^j e_j.
+    They depend only on P(J).  When P(J) has one compact facet
+    (``lattice._pure_facet``), it is the Newton polyhedron of the pure
+    powers, a diagonal ideal, and e is ``diagonal_mults`` of the sorted
+    pure powers; every other ideal takes the double description of
+    ``_covolume_sequence``.  The colength table certifies either route.
+    """
+    _require_isolated(ideal, "multiplicities")
+    p = _pure_facet(ideal)
+    if p is not None:
+        return diagonal_mults(sorted(p)).e
+    return _covolume_sequence(ideal)
+
+
+def _covolume_sequence(ideal):
+    """e_0, ..., e_n of an isolated-zero ideal by double description.
+
     P(m) + k P(J) is spanned by the points u + k g, u a unit vector and g a
     generator; one double description and one triangulation serve every
     k = 1..n (see ``_covolumes``), so the covolumes there follow one integer
@@ -392,7 +424,6 @@ def mixed_covolumes(ideal):
     k = 0, are integers only if P(0) = n! covol(P(m)) is 1 modulo n!;
     coefficient j divided by C(n, j) is e_j.
     """
-    _require_isolated(ideal, "multiplicities")
     n = ideal.n
     units = [tuple(int(i == axis) for i in range(n)) for axis in range(n)]
     d = [1] + _covolumes([(u, g) for g in ideal.generators for u in units],

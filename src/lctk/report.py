@@ -1,23 +1,25 @@
 """Per-ideal verification reports and seeded random sweeps.
 
 A report runs every exact cross-check the package knows about on one
-isolated-zero monomial ideal: primal/dual threshold agreement, certificate
-identities, sequence inequalities, the bound chain, the covolume oracle,
-and the diagonal-minorant chain.  A single failing check would indict the
-implementation, not the mathematics, so the CLI turns any failure into a
-dedicated exit code.
+isolated-zero monomial ideal: primal/dual threshold agreement (joined,
+when the Newton polyhedron has one compact facet, by c = sum 1/p_i of
+the pure powers), certificate identities, sequence inequalities, the
+bound chain, the covolume oracle, and the diagonal-minorant chain.  A
+single failing check would indict the implementation, not the
+mathematics, so the CLI turns any failure into a dedicated exit code.
 """
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from math import prod
 from operator import mul
 
 from . import bounds as bounds_mod
 from .bounds import EQ, GT, build_bounds_report, f_value, validate_sequence
 from .errors import ResourceCapError
-from .lattice import natural, normalize_generators
+from .lattice import _pure_facet, natural, normalize_generators
 from .multiplicities import (
     covolume_times_factorial,
     first_multiplicity,
@@ -55,6 +57,12 @@ def build_ideal_report(ideal):
     dual = howald_lct(ideal)
     checks = {}
     checks["duality"] = cert.c == dual
+    p = _pure_facet(ideal)
+    if p is not None:
+        # one compact facet: c is also sum 1/p_i of the pure powers,
+        # compared on their common denominator
+        top = prod(p)
+        checks["duality"] &= cert.c * top == sum(top // q for q in p)
     checks["certificate_identities"] = (
         sum(cert.x0) == 1
         and cert.c * cert.nu == 1

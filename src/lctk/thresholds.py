@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import inf, isfinite
+from operator import mul
 
 from .errors import (
     DegenerateMinorantError,
@@ -23,7 +24,7 @@ from .errors import (
     InvariantError,
     UnitIdealError,
 )
-from .lattice import is_isolated_zero, natural, rational
+from .lattice import _integers, is_isolated_zero, natural, rational
 from .simplex import OPTIMAL, UNBOUNDED, solve_min
 
 _ZERO = Fraction(0)
@@ -54,7 +55,8 @@ def refined_lelong(ideal, x):
     """min over generators of <alpha, x>: the directional slope at x.
 
     Positively homogeneous of degree 1 and concave on the positive orthant.
-    Returns 0 with a warning for the unit ideal.
+    Returns 0 with a warning for the unit ideal.  The dot products are
+    integers, x scaled to one common denominator by ``lattice._integers``.
     """
     x = tuple(rational(v, "each coordinate") for v in x)
     if len(x) != ideal.n:
@@ -65,7 +67,9 @@ def refined_lelong(ideal, x):
         warnings.warn("refined Lelong number of the unit ideal is 0",
                       UnitIdealWarning, stacklevel=2)
         return _ZERO
-    return min(sum(a * v for a, v in zip(g, x)) for g in ideal.generators)
+    xs, scale = _integers(x)
+    return Fraction(min(sum(map(mul, g, xs)) for g in ideal.generators),
+                    scale)
 
 
 def kiselman_lct(ideal):

@@ -31,6 +31,7 @@ from lctk import (
     parse_polynomial,
     random_isolated_ideal,
 )
+from lctk import multiplicities
 from lctk.bounds import (
     d_membership,
     derivative_certificates,
@@ -283,23 +284,40 @@ def above_pure_hyperplane(J, p):
                for g in J.generators)
 
 
+def test_one_facet_double_description(diagonal_sweep, random_corpus):
+    # mixed_covolumes gives an ideal above its pure-power hyperplane the
+    # closed form e_j = p_(1) ... p_(j), sorted; the double description,
+    # called directly, must agree on every such ideal, so it stays checked
+    # on the inputs it no longer serves
+    cases = [(J, fitted.mults.e) for _, J, _, fitted in diagonal_sweep[0]]
+    cases += [(J, rep.mults.e) for J, rep in random_corpus[0]]
+    checked = 0
+    for J, e in cases:
+        p = pure_powers(J)
+        if above_pure_hyperplane(J, p):
+            checked += 1
+            closed = tuple(accumulate(sorted(p), mul, initial=1))
+            assert multiplicities._covolume_sequence(J) == closed == e, J
+    assert checked > len(diagonal_sweep[0])
+
+
 def test_sharp_witness(diagonal_sweep, random_corpus):
     # e and c depend only on the Newton polyhedron, so an ideal above its
     # pure-power hyperplane has e_j = p_(1) ... p_(j), sorted, and
     # c = sum 1/p_i, the main bound of that sequence: it is sharp.  The
-    # converse is counted, not asserted.
-    cases = [(J, fitted.mults.e, cert.c,
-              lctk.main_bound(fitted.mults) == cert.c)
+    # converse is counted, not asserted.  Its e is the closed form that
+    # mixed_covolumes returns there, so test_one_facet_double_description
+    # checks it against the double description.
+    cases = [(J, cert.c, lctk.main_bound(fitted.mults) == cert.c)
              for _, J, cert, fitted in diagonal_sweep[0]]
-    cases += [(J, rep.mults.e, rep.certificate.c, rep.sharp)
+    cases += [(J, rep.certificate.c, rep.sharp)
               for J, rep in random_corpus[0]]
     witnessed = sharp_without = 0
-    for J, e, c, sharp in cases:
+    for J, c, sharp in cases:
         p = pure_powers(J)
         if above_pure_hyperplane(J, p):
             witnessed += 1
             assert sharp is True, J
-            assert e == tuple(accumulate(sorted(p), mul, initial=1)), J
             assert c == sum(F(1, pi) for pi in p), J
         elif sharp:
             sharp_without += 1
@@ -307,3 +325,26 @@ def test_sharp_witness(diagonal_sweep, random_corpus):
           f"pure-power hyperplane, all sharp; {sharp_without} sharp "
           f"ideals below it", file=sys.stderr)
     assert witnessed > len(diagonal_sweep[0])
+
+
+def test_one_facet_threshold_joins_duality(tmp_path, capsys, monkeypatch):
+    # both LP routes agree on a wrong c: only the third route, c = sum
+    # 1/p_i on one compact facet, can see it, and it fails "duality"
+    from dataclasses import replace
+
+    from lctk import cli, report
+
+    real_kiselman, real_howald = report.kiselman_lct, report.howald_lct
+    monkeypatch.setattr(report, "kiselman_lct", lambda J: replace(
+        real_kiselman(J), c=real_kiselman(J).c + 1))
+    monkeypatch.setattr(report, "howald_lct", lambda J: real_howald(J) + 1)
+    cusp = normalize_generators([(2, 0), (0, 3)], 2)
+    assert build_ideal_report(cusp).checks["duality"] is False
+    # two compact facets: the two routes are all that duality compares
+    two = normalize_generators([(3, 0), (1, 1), (0, 3)], 2)
+    assert build_ideal_report(two).checks["duality"] is True
+    path = tmp_path / "cusp.json"
+    path.write_text('{"n": 2, "generators": [[2, 0], [0, 3]]}')
+    assert cli.main(["report", str(path)]) == 4
+    out, _ = capsys.readouterr()
+    assert '"duality": false' in out

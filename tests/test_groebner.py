@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -336,6 +337,19 @@ class TestFieldGuard:
         assert out == ""
         assert err.startswith("resource cap: an exponent passed 15")
         assert "Traceback" not in err
+
+    def test_packing_budget_exits_5(self, tmp_path, capsys):
+        # x1 in 800 variables needs 800 fields of 817 bits: refused before
+        # any key is built, where building them took about 20 s
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 800, "polynomials": ["x1"]}))
+        start = time.monotonic()
+        assert cli.main(["groebner-bound", str(path)]) == 5
+        assert time.monotonic() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("resource cap: 800 exponent fields of 817 "
+                              "bits pass the packing budget")
 
 
 #: A lex (x3 > x2 > x1) run whose coefficients grow past 16384 bits within

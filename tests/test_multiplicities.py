@@ -636,6 +636,41 @@ class TestMixedCovolumes:
             assert e[1] == first_multiplicity(J)
             assert validate_sequence(e).all_ok
 
+    def test_double_description_only_for_multi_facet_ideals(
+            self, monkeypatch):
+        # an ideal whose Newton polyhedron has one compact facet takes the
+        # closed form; every other one takes the double description
+        from lctk import multiplicities
+
+        calls = []
+        real = multiplicities._covolumes
+        monkeypatch.setattr(multiplicities, "_covolumes",
+                            lambda pairs, ks: calls.append(1) or real(
+                                pairs, ks))
+        rng = random.Random(23)
+        kinds = set()
+        for n in (1, 2, 3, 4):
+            for i in range(30):
+                if i % 2:
+                    J = random_isolated_ideal(rng, n, 4)
+                else:
+                    # extra generators below the pure powers
+                    a = [rng.randint(2, 5) for _ in range(n)]
+                    extra = [tuple(rng.randrange(v) for v in a)
+                             for _ in range(n)]
+                    J = normalize_generators(
+                        [tuple(a[k] * (k == axis) for k in range(n))
+                         for axis in range(n)]
+                        + [g for g in extra if any(g)], n)
+                multi = len(multiplicities._compact_facets(
+                    J.generators, n)) > 1
+                calls.clear()
+                e = mixed_covolumes(J)
+                assert len(calls) == multi, J
+                assert e == ref_mixed_covolumes(J), J
+                kinds.add((n, multi))
+        assert kinds >= {(2, True), (3, True), (3, False), (4, True)}
+
     @pytest.mark.parametrize("covolumes, message", [
         ((2, 2), "not an integer polynomial"),     # 1 + 3k/2 - k^2/2
         ((10, 31), "e_1 = 3/2 is not a positive"),  # 1 + 3k + 6k^2
@@ -645,10 +680,13 @@ class TestMixedCovolumes:
                                                 covolumes, message):
         from lctk import multiplicities
 
+        # (x^3, xy, y^3) has two compact facets, so e takes the double
+        # description; the cusp's one facet takes the closed form
+        J = normalize_generators([(3, 0), (1, 1), (0, 3)], 2)
         monkeypatch.setattr(multiplicities, "_covolumes",
                             lambda pairs, ks: list(covolumes))
         with pytest.raises(InvariantError, match=message):
-            mixed_covolumes(CUSP)
+            mixed_covolumes(J)
 
     def test_wrong_covolumes_are_invariant_error(self, monkeypatch, tmp_path,
                                                  capsys):
