@@ -15,8 +15,8 @@ a ``PreparedPower`` that carries the largest degree of J^t makes the
 guard O(1).
 ``LCTK_PURE_PYTHON=1`` forces the fallback lane.  Both lanes are
 behaviourally identical; see tests/test_kernels.py for the parity suite and
-``python3 perfbench/run.py --trace 1`` (``kernels.speedup.*``) for the
-speed-ups.
+``python3 perfbench/run.py --workload corpus --seconds 5 --trace 1``
+(``kernels.speedup.*``) for the speed-ups.
 """
 
 import os

@@ -9,10 +9,10 @@ the n of JSON input all pass through it.  ``rational`` is the one reader
 of the rationals a library call takes: threshold weights, Lelong and
 Newton points, the probe's c, and the vectors, c and radicands of
 ``bounds``.  ``_integers`` is the package's one scaler of rationals to
-integers.  ``_pure_powers`` is the one reader of the per-axis pure powers:
-``is_isolated_zero``, the fit's bases and its diagonal weights read them,
-and ``_pure_facet`` decides with them, in integers, whether the Newton
-polyhedron has one compact facet.
+integers.  ``MonomialIdeal._pure_powers``, kept on first read, is the one
+reader of the per-axis pure powers: ``is_isolated_zero``, the fit's bases
+and its diagonal weights read them, and ``MonomialIdeal._pure_facet``,
+kept too, decides with them whether P(J) has one compact facet.
 Colengths are counted by ``kernels.table_column``, which both the colength
 table (``multiplicities``) and the Groebner sweep (``groebner._colength``)
 call.
@@ -20,6 +20,7 @@ call.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from operator import mul
 
@@ -37,6 +38,31 @@ class MonomialIdeal:
     @property
     def is_unit(self):
         return self.generators == ((0,) * self.n,)
+
+    @cached_property
+    def _pure_powers(self):
+        """By axis, the exponent of its pure-power generator, else None (the
+        unit ideal's zero generator is z_i^0 of every axis); not a field."""
+        found = {axis: e for g in self.generators
+                 if g.count(0) >= self.n - 1
+                 for axis, e in enumerate(g) if e == max(g)}
+        return tuple(map(found.get, range(self.n)))
+
+    @cached_property
+    def _pure_facet(self):
+        """The pure powers p, by axis, when every generator g lies on or
+        above the hyperplane sum_i g_i / p_i >= 1 (in integers,
+        sum_i g_i * prod_{j != i} p_j >= prod_j p_j): then the Newton
+        polyhedron P(J) is that of (z_1^p_1, ..., z_n^p_n), whose one
+        compact facet is the simplex on the p_i e_i.  None otherwise, and
+        for the unit ideal or without an isolated zero."""
+        p = self._pure_powers
+        if None in p or self.is_unit:
+            return None
+        top = prod(p)
+        cofactors = [top // q for q in p]
+        return p if all(sum(map(mul, g, cofactors)) >= top
+                        for g in self.generators) else None
 
     def __str__(self):
         gens = ", ".join(
@@ -132,34 +158,6 @@ def diagonal_ideal(weights):
          for i in range(n)], n)
 
 
-def _pure_powers(ideal):
-    """{axis: the exponent of its pure-power generator}, for the axes that
-    have one; the zero generator of the unit ideal is z_i^0 of every axis."""
-    return {axis: e for g in ideal.generators if g.count(0) >= ideal.n - 1
-            for axis, e in enumerate(g) if e == max(g)}
-
-
 def is_isolated_zero(ideal):
     """True iff each axis carries a pure-power generator (finite colength)."""
-    return len(_pure_powers(ideal)) == ideal.n
-
-
-def _pure_facet(ideal):
-    """The pure powers (p_1, ..., p_n), by axis, when the Newton polyhedron
-    P(J) is that of (z_1^p_1, ..., z_n^p_n), whose one compact facet is the
-    simplex on the p_i e_i; None when P(J) has more compact facets, and
-    for the unit ideal or without an isolated zero.
-
-    P(J) is that polyhedron exactly when every generator g lies on or
-    above the facet's hyperplane, sum_i g_i / p_i >= 1, tested in
-    integers as sum_i g_i * prod_{j != i} p_j >= prod_j p_j.
-    """
-    powers = _pure_powers(ideal)
-    if len(powers) != ideal.n or ideal.is_unit:
-        return None
-    p = tuple(powers[axis] for axis in range(ideal.n))
-    top = prod(p)
-    cofactors = [top // q for q in p]
-    if all(sum(map(mul, g, cofactors)) >= top for g in ideal.generators):
-        return p
-    return None
+    return None not in ideal._pure_powers

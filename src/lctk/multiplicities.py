@@ -3,8 +3,8 @@
 Mixed multiplicities of monomial ideals are mixed covolumes, so e_0..e_n
 come exactly from n! covol(P(m) + k P(J)) at k = 0..n.  They depend only
 on the Newton polyhedron P(J) (Teissier), so when P(J) has one compact
-facet, the simplex on the pure powers p_i e_i (``lattice._pure_facet``,
-one integer hyperplane test), e_j = p_(1) ... p_(j) of the sorted pure
+facet, the simplex on the pure powers p_i e_i (``J._pure_facet``, one
+integer hyperplane test), e_j = p_(1) ... p_(j) of the sorted pure
 powers, with no polyhedral computation.  Otherwise double description
 finds the compact facets of a Newton polyhedron, and a pulling
 triangulation of each one sums integer determinants; P(m) + k P(J) has
@@ -32,7 +32,7 @@ from .errors import (
     UnitIdealError,
     UnstableFitError,
 )
-from .lattice import _pure_facet, _pure_powers, is_isolated_zero, natural
+from .lattice import is_isolated_zero, natural
 
 #: The largest base a fit tries.
 BASE_CAP = 64
@@ -161,8 +161,8 @@ class _CellCounter:
         self.n = n = ideal.n
         # t by t, ascending r: the order of every table's values
         self.offsets = sorted(_staircase(n), key=itemgetter(1, 0))
-        powers = _pure_powers(ideal)
-        self.weights = tuple(sorted(powers.values())) \
+        powers = ideal._pure_powers
+        self.weights = tuple(sorted(powers)) \
             if len(ideal.generators) == n else None
         by_power = sorted(range(n), key=powers.__getitem__)
         axes = [by_power[k] for k in _AXIS_RANKS.get(n, range(n))]
@@ -256,7 +256,7 @@ def _bases(ideal):
     fit climbs past it when it does not.  Some ideals accept well below
     b, so a smaller e_1 starts the fit: (x^20, x y^5, y^20) accepts at
     e_1 = 6, with b = 19."""
-    b = sum(p - 1 for p in sorted(_pure_powers(ideal).values())[:-1])
+    b = sum(p - 1 for p in sorted(ideal._pure_powers)[:-1])
     return range(min(first_multiplicity(ideal), b, BASE_CAP), BASE_CAP + 1)
 
 
@@ -402,13 +402,13 @@ def mixed_covolumes(ideal):
     Mixed multiplicities of monomial ideals are mixed covolumes (Teissier;
     Kaveh-Khovanskii 2014): n! covol(P(m) + k P(J)) = sum_j C(n, j) k^j e_j.
     They depend only on P(J).  When P(J) has one compact facet
-    (``lattice._pure_facet``), it is the Newton polyhedron of the pure
-    powers, a diagonal ideal, and e is ``diagonal_mults`` of the sorted
-    pure powers; every other ideal takes the double description of
+    (``MonomialIdeal._pure_facet``, tested on its ``_pure_powers``), it is
+    the Newton polyhedron of the pure powers, and e is ``diagonal_mults``
+    of them sorted; every other ideal takes the double description of
     ``_covolume_sequence``.  The colength table certifies either route.
     """
     _require_isolated(ideal, "multiplicities")
-    p = _pure_facet(ideal)
+    p = ideal._pure_facet
     if p is not None:
         return diagonal_mults(sorted(p)).e
     return _covolume_sequence(ideal)

@@ -2,11 +2,13 @@
 
 A report runs every exact cross-check the package knows about on one
 isolated-zero monomial ideal: primal/dual threshold agreement (joined,
-when the Newton polyhedron has one compact facet, by c = sum 1/p_i of
-the pure powers), certificate identities, sequence inequalities, the
-bound chain, the covolume oracle, and the diagonal-minorant chain.  A
-single failing check would indict the implementation, not the
-mathematics, so the CLI turns any failure into a dedicated exit code.
+when P(J) has one compact facet, by c = sum 1/p_i of the pure powers;
+the ideal keeps ``MonomialIdeal._pure_powers`` and ``_pure_facet``, so a
+report scans and tests once), certificate identities, sequence
+inequalities, the bound chain, the covolume oracle, and the
+diagonal-minorant chain.  A single failing check would indict the
+implementation, not the mathematics, so the CLI turns any failure into a
+dedicated exit code.
 """
 
 import random
@@ -19,7 +21,7 @@ from operator import mul
 from . import bounds as bounds_mod
 from .bounds import EQ, GT, build_bounds_report, f_value, validate_sequence
 from .errors import ResourceCapError
-from .lattice import _pure_facet, natural, normalize_generators
+from .lattice import natural, normalize_generators
 from .multiplicities import (
     covolume_times_factorial,
     first_multiplicity,
@@ -57,7 +59,7 @@ def build_ideal_report(ideal):
     dual = howald_lct(ideal)
     checks = {}
     checks["duality"] = cert.c == dual
-    p = _pure_facet(ideal)
+    p = ideal._pure_facet
     if p is not None:
         # one compact facet: c is also sum 1/p_i of the pure powers,
         # compared on their common denominator

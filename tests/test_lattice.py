@@ -1,18 +1,23 @@
+import pickle
 import random
+from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lctk import (
     DimensionMismatchError,
     EmptyGeneratorsError,
+    MonomialOrder,
     MultiplicitySequence,
     NonIsolatedError,
     ProbeConfig,
     RunConfig,
+    build_ideal_report,
     diagonal_lct,
     diagonal_mults,
     hilbert_table,
@@ -22,10 +27,12 @@ from lctk import (
     newton_membership,
     normalize_generators,
     numeric_integrability_probe,
+    order_sweep,
+    parse_polynomial,
     refined_lelong,
     unit_ideal,
 )
-from lctk.lattice import _pure_powers, rational
+from lctk.lattice import MonomialIdeal, rational
 
 from conftest import brute_colength, colength, product_ideal
 
@@ -186,23 +193,89 @@ class TestIsolated:
         assert is_isolated_zero(unit_ideal(3))
 
     def test_pure_power_reader(self):
-        assert _pure_powers(normalize_generators(
-            [(0, 0, 5), (1, 1, 0), (3, 0, 0)], 3)) == {0: 3, 2: 5}
-        assert _pure_powers(normalize_generators([(4,)], 1)) == {0: 4}
-        assert _pure_powers(unit_ideal(2)) == {0: 0, 1: 0}
+        assert normalize_generators(
+            [(0, 0, 5), (1, 1, 0), (3, 0, 0)], 3)._pure_powers == (3, None, 5)
+        assert normalize_generators([(4,)], 1)._pure_powers == (4,)
+        assert unit_ideal(2)._pure_powers == (0, 0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(
         st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=6)))
     def test_pure_powers_decide_isolation(self, gens):
         J = normalize_generators(gens, len(gens[0]))
-        powers = _pure_powers(J)
+        powers = J._pure_powers
         for axis in range(J.n):
             pure = [g for g in J.generators
                     if all(e == 0 for i, e in enumerate(g) if i != axis)]
             assert [g[axis] for g in pure] == (
-                [powers[axis]] if axis in powers else [])
-        assert is_isolated_zero(J) == (len(powers) == J.n)
+                [] if powers[axis] is None else [powers[axis]])
+        assert is_isolated_zero(J) == (None not in powers)
+
+
+class TestPurePowersReadOnce:
+    """An ideal scans its generators for pure powers once and runs the
+    one-facet test once, however many layers read them."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = Counter()
+        for name in ("_pure_powers", "_pure_facet"):
+            prop = MonomialIdeal.__dict__[name]
+
+            def counted(ideal, compute=prop.func, name=name):
+                calls[name] += 1
+                return compute(ideal)
+            monkeypatch.setattr(prop, "func", counted)
+        return calls
+
+    @pytest.mark.parametrize("gens, facet", [
+        ([(2, 0), (0, 3)], (2, 3)),              # the cusp: one facet
+        ([(3, 0), (1, 1), (0, 3)], None),        # two compact facets
+    ])
+    def test_one_scan_and_one_facet_test_per_report(self, reads, gens, facet):
+        J = normalize_generators(gens, 2)
+        assert build_ideal_report(J).all_ok
+        assert J._pure_facet == facet
+        assert reads == {"_pure_powers": 1, "_pure_facet": 1}
+
+    def test_one_scan_per_initial_ideal_of_a_sweep(self, reads):
+        polys = [parse_polynomial(t, 3)
+                 for t in ("x1^2 + x2*x3", "x2^3 + x1*x3", "x3^2 - x1*x2")]
+        orders = [MonomialOrder("grevlex"),
+                  MonomialOrder("lex", precedence=(1, 2, 3)),
+                  MonomialOrder("lex", precedence=(3, 2, 1))]
+        cert = order_sweep(polys, orders)
+        assert cert.mults is not None
+        assert reads["_pure_powers"] == len(orders)
+
+
+class TestPureMemoValueContract:
+    """Reading the kept pure powers and facet changes no field, so ==, hash,
+    repr and pickling of an ideal stay those of its fields, and the class
+    stays frozen."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=5)))
+    @example([(0, 0)])                 # the unit ideal
+    @example([(1, 1), (2, 0)])         # no isolated zero
+    @example([(3, 0), (1, 1), (0, 3)])
+    def test_read_ideal_is_its_fresh_value(self, gens):
+        n = len(gens[0])
+        J = normalize_generators(gens, n)
+        read = (J._pure_powers, J._pure_facet)
+        fresh = normalize_generators(gens, n)
+        back = pickle.loads(pickle.dumps(J))
+        for other in (J, back):
+            assert other == fresh
+            assert hash(other) == hash(fresh)
+            assert repr(other) == repr(fresh)
+        assert (back._pure_powers, back._pure_facet) == read
+        assert (fresh._pure_powers, fresh._pure_facet) == read
+        for name in ("_pure_powers", "_pure_facet"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(J, name, None)
+        assert (J._pure_powers, J._pure_facet) == read
 
 
 class TestColength:
