@@ -21,7 +21,6 @@ from .bounds import build_bounds_report
 from .errors import (
     LctkError,
     NonIsolatedError,
-    PolynomialParseError,
     ResourceCapError,
     UnitIdealError,
 )
@@ -328,8 +327,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, PolynomialParseError, NonIsolatedError,
-            json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (SchemaError, NonIsolatedError, json.JSONDecodeError,
+            UnicodeDecodeError, OSError) as exc:
         _say(f"input error: {exc}")
         return EXIT_PARSE
     except UnitIdealError as exc:

@@ -70,7 +70,6 @@ from .errors import (
     InvariantError,
     PolynomialParseError,
     ResourceCapError,
-    UnitIdealError,
 )
 from .lattice import (
     _integers,
@@ -224,94 +223,68 @@ def parse_polynomial(text, n):
     is an integer (optionally /integer) or a variable with optional ^power.
 
     Like terms combine; a zero result is an error, as is any variable index
-    outside 1..n.  n is read by ``lattice.natural``.
+    outside 1..n.  n is read by ``lattice.natural``.  Each error is a
+    ``PolynomialParseError`` carrying the index into text of the token at
+    fault (len(text) at the end of the text).
     """
     n = natural(n, "the number of variables")
-    tokens = []
+    tokens = []  # (token text, its index in text), then the end sentinel
     for m in _TOKEN.finditer(text):
         if m.group(4):
             raise PolynomialParseError(
                 f"unexpected character {m.group(4)!r}", m.start(4))
-        if m.group(1):
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            tokens.append(("var", int(m.group(2)[1:]), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else ("end", None,
-                                                      len(text))
-
-    def take():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
-    def parse_factor():
-        kind, val, at = take()
-        if kind == "int":
-            coeff = Fraction(val)
-            if peek()[:2] == ("op", "/"):
-                take()
-                k2, v2, at2 = take()
-                if k2 != "int":
-                    raise PolynomialParseError(
-                        "expected integer denominator", at2)
-                if v2 == 0:
-                    raise PolynomialParseError("zero denominator", at2)
-                coeff /= v2
-            return coeff, (0,) * n
-        if kind == "var":
-            if not 1 <= val <= n:
-                raise PolynomialParseError(
-                    f"variable x{val} out of range 1..{n}", at)
-            power = 1
-            if peek()[:2] == ("op", "^"):
-                take()
-                k2, v2, at2 = take()
-                if k2 != "int":
-                    raise PolynomialParseError("expected integer power", at2)
-                power = v2
-            mono = tuple(power if i == val - 1 else 0 for i in range(n))
-            return Fraction(1), mono
-        raise PolynomialParseError("expected a factor", at)
-
-    def parse_term():
-        coeff, mono = parse_factor()
-        while peek()[:2] == ("op", "*"):
-            take()
-            c2, m2 = parse_factor()
-            coeff *= c2
-            mono = tuple(a + b for a, b in zip(mono, m2))
-        return coeff, mono
-
+        tokens.append((m.group(m.lastindex), m.start(m.lastindex)))
+    tokens.append(("", len(text)))
+    if len(tokens) == 1:
+        raise PolynomialParseError("empty polynomial", len(text))
     terms = {}
-    sign = 1
-    kind, val, at = peek()
-    if kind == "op" and val in "+-":
-        take()
-        sign = -1 if val == "-" else 1
-    elif kind == "end":
-        raise PolynomialParseError("empty polynomial", at)
-    while True:
-        coeff, mono = parse_term()
-        coeff *= sign
-        acc = terms.get(mono, Fraction(0)) + coeff
-        if acc == 0:
-            terms.pop(mono, None)
-        else:
+    i = 0
+    while tokens[i][0]:
+        word, at = tokens[i]
+        if word in ("+", "-"):
+            i += 1
+        elif i:
+            raise PolynomialParseError(f"expected + or -, got {word!r}", at)
+        coeff, mono = Fraction(-1 if word == "-" else 1), [0] * n
+        while True:  # the '*'-joined factors of one term
+            word, at = tokens[i]
+            i += 1
+            if word.isdigit():
+                coeff *= int(word)
+                if tokens[i][0] == "/":
+                    word, at = tokens[i + 1]
+                    i += 2
+                    if not word.isdigit():
+                        raise PolynomialParseError(
+                            "expected integer denominator", at)
+                    if not int(word):
+                        raise PolynomialParseError("zero denominator", at)
+                    coeff /= int(word)
+            elif word.startswith("x"):
+                var = int(word[1:])
+                if not 1 <= var <= n:
+                    raise PolynomialParseError(
+                        f"variable x{var} out of range 1..{n}", at)
+                if tokens[i][0] == "^":
+                    word, at = tokens[i + 1]
+                    i += 2
+                    if not word.isdigit():
+                        raise PolynomialParseError(
+                            "expected integer power", at)
+                    mono[var - 1] += int(word)
+                else:
+                    mono[var - 1] += 1
+            else:
+                raise PolynomialParseError("expected a factor", at)
+            if tokens[i][0] != "*":
+                break
+            i += 1
+        mono = tuple(mono)
+        acc = terms.get(mono, 0) + coeff
+        if acc:
             terms[mono] = acc
-        kind, val, at = peek()
-        if kind == "end":
-            break
-        if kind == "op" and val in "+-":
-            take()
-            sign = -1 if val == "-" else 1
         else:
-            raise PolynomialParseError(f"expected + or -, got {val!r}", at)
+            terms.pop(mono, None)
     if not terms:
         raise PolynomialParseError("polynomial simplifies to zero", 0)
     return Polynomial(n, terms)
@@ -751,8 +724,6 @@ def order_sweep(polys, orders, *, max_reductions=MAX_REDUCTIONS):
             errors[i] = exc
             continue
         j0 = normalize_generators(exps, pack.n)
-        if j0.is_unit:
-            raise UnitIdealError("the ideal is the unit ideal")
         here = (_colength(j0.generators, j0.n) if is_isolated_zero(j0)
                 else inf)
         if length is None:

@@ -47,10 +47,11 @@ MAX_TOTAL_DEGREE = 512
 _POINTS = 3
 
 #: The order in which ``_CellCounter`` hands J's axes to the kernels, as
-#: ranks of their pure powers (0 the smallest), by n.  Both lanes slice
-#: the last axis, about p * t + r slices for its pure power p, and sweep
-#: the first, so at n = 3 the smallest pure power goes last, the middle
-#: one first.  Colengths do not depend on the order of the variables.
+#: ranks of their pure powers (0 the smallest), by n; an n not listed gets
+#: ascending pure powers.  Both lanes slice the last axis, about p * t + r
+#: slices for its pure power p, and sweep the first, so at n = 3 the
+#: smallest pure power goes last, the middle one first.  Colengths do not
+#: depend on the order of the variables.
 _AXIS_RANKS = {3: (1, 2, 0)}
 
 
@@ -152,8 +153,9 @@ class _CellCounter:
     are its pure powers, and a per-axis aggregated count gives each cell.
     Everything else counts the complement of the implicit cut family built
     from minimal generators of J^t, the new rs of one column per call, so
-    the product ideal itself is never materialized; J's axes are permuted
-    into the order of ``_AXIS_RANKS`` first.
+    the product ideal itself is never materialized.  J's axes are sorted
+    by ascending pure power first, then, at an n listed in
+    ``_AXIS_RANKS``, permuted into its order.
     """
 
     def __init__(self, ideal):

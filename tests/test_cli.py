@@ -361,6 +361,8 @@ class TestInputContract:
                             "order": {"kind": "weighted", "weights": [1, 2],
                                       "tiebreak": "nonsense"}},
          []),
+        ("groebner-bound", {"n": 2, "polynomials": ["x1^2 + x2^3", "x1 x2"]},
+         ["--sweep"]),
     ])
     def test_exit_2(self, tmp_path, capsys, command, payload, extra):
         code, out, err = run(capsys, [command, write(tmp_path, "in.json",
@@ -483,6 +485,22 @@ class TestVerifyRandom:
         assert data["skipped"] >= 1
         assert data["passed"] + data["skipped"] == 6
 
+    def test_failing_check_exit_4(self, capsys, monkeypatch):
+        from lctk import report
+
+        real = report.howald_lct
+        monkeypatch.setattr(report, "howald_lct",
+                            lambda ideal: real(ideal) + 1)
+        code, out, _ = run(capsys, ["--seed", "0", "verify-random",
+                                    "--dim", "2", "--count", "2"])
+        assert code == 4
+        data = json.loads(out)
+        assert (data["passed"], data["failed"]) == (0, 2)
+        assert [sorted(f) for f in data["failures"]] == \
+            [["checks", "ideal", "index"]] * 2
+        assert [f["index"] for f in data["failures"]] == [0, 1]
+        assert all(f["checks"] == ["duality"] for f in data["failures"])
+
     def test_csv_rows(self, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"
         code, _, _ = run(capsys, ["--seed", "5", "--csv", str(out_csv),
@@ -528,6 +546,23 @@ class TestGroebnerBound:
         code, _, _ = run(capsys, ["groebner-bound",
                                   write(tmp_path, "p.json", payload)])
         assert code == 2
+
+    def test_parse_error_names_the_token(self, tmp_path, capsys):
+        payload = {"n": 2, "polynomials": ["x1 x2"]}
+        code, out, err = run(capsys, ["groebner-bound",
+                                      write(tmp_path, "p.json", payload)])
+        assert (code, out) == (2, "")
+        assert err == ("input error: expected + or -, got 'x2' "
+                       "(at position 3)\n")
+
+    def test_default_sweep_cap_exit_5(self, tmp_path, capsys):
+        payload = {"n": 6, "polynomials": ["x1"]}
+        code, out, err = run(capsys, ["groebner-bound",
+                                      write(tmp_path, "p.json", payload),
+                                      "--sweep"])
+        assert (code, out) == (5, "")
+        assert err == ("resource cap: default sweep enumerates lex orders; "
+                       "too many for n > 5\n")
 
     def test_resource_cap_exit_5(self, tmp_path, capsys):
         payload = {"n": 2, "polynomials": ["x1^3 - x2", "x2^3 - x1"],

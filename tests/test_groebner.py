@@ -81,6 +81,90 @@ class TestParser:
         with pytest.raises(PolynomialParseError):
             parse_polynomial("   ", 2)
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("", "empty polynomial", 0),
+        ("  \t", "empty polynomial", 3),
+        ("x1 + (x2)", "unexpected character '('", 5),
+        ("x1 + x", "unexpected character 'x'", 5),
+        ("x1 +", "expected a factor", 4),
+        ("-", "expected a factor", 1),
+        ("+-x1", "expected a factor", 1),
+        ("x1 * * x2", "expected a factor", 5),
+        ("1/x1", "expected integer denominator", 2),
+        ("3/", "expected integer denominator", 2),
+        ("3/0*x1", "zero denominator", 2),
+        ("x1^x2", "expected integer power", 3),
+        ("x1^-2", "expected integer power", 3),
+        ("x1 + x3", "variable x3 out of range 1..2", 5),
+        ("x010", "variable x10 out of range 1..2", 0),
+        ("x0^x1", "variable x0 out of range 1..2", 0),
+        ("x1 x2", "expected + or -, got 'x2'", 3),
+        ("x1 10", "expected + or -, got '10'", 3),
+        ("x1 007", "expected + or -, got '007'", 3),
+        ("2^3", "expected + or -, got '^'", 1),
+        ("x1/2", "expected + or -, got '/'", 2),
+        ("x1^2^3", "expected + or -, got '^'", 4),
+        ("x1 - x1", "polynomial simplifies to zero", 0),
+        ("0*x2", "polynomial simplifies to zero", 0),
+    ])
+    def test_error_message_and_position(self, text, message, position):
+        """Each error names its fault; its position indexes the text, and
+        is len(text) at the end of it."""
+        with pytest.raises(PolynomialParseError) as err:
+            parse_polynomial(text, 2)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("terms, message", [
+        ({}, "the zero polynomial is not representable"),
+        ({(1,): 1}, "term (1,) has wrong arity"),
+        ({(1, 0): 1, (0, 1): 0}, "zero coefficient stored"),
+    ])
+    def test_polynomial_value_errors(self, terms, message):
+        with pytest.raises(ValueError) as err:
+            Polynomial(2, terms)
+        assert str(err.value) == message
+
+    def test_round_trip(self):
+        """Seeded random texts in the grammar (signs, p/q and integer
+        coefficient factors, powers, repeated variables, random whitespace)
+        parse to the terms they denote."""
+        rng = random.Random(20261021)
+        for _ in range(400):
+            n = rng.randint(1, 3)
+            tokens, terms = [], {}
+            for k in range(rng.randint(1, 5)):
+                sign = rng.choice(["+", "-"] if k else ["", "+", "-"])
+                coeff, mono = F(-1 if sign == "-" else 1), [0] * n
+                factors = []
+                for _ in range(rng.randint(1, 4)):
+                    if rng.random() < 0.3:
+                        num, den = rng.randint(0, 12), rng.randint(1, 6)
+                        coeff *= F(num, den)
+                        factors.append([str(num), "/", str(den)]
+                                       if den > 1 or rng.random() < 0.5
+                                       else [str(num)])
+                    else:
+                        var, power = rng.randint(1, n), rng.randint(0, 4)
+                        mono[var - 1] += power
+                        factors.append([f"x{var}", "^", str(power)]
+                                       if power != 1 or rng.random() < 0.5
+                                       else [f"x{var}"])
+                tokens += [sign] if sign else []
+                for j, factor in enumerate(factors):
+                    tokens += (["*"] if j else []) + factor
+                mono = tuple(mono)
+                terms[mono] = terms.get(mono, 0) + coeff
+            terms = {m: c for m, c in terms.items() if c}
+            text = "".join(rng.choice(["", "", " ", "  ", "\t"]) + t
+                           for t in tokens)
+            if terms:
+                assert parse_polynomial(text, n).terms == terms, text
+            else:
+                with pytest.raises(PolynomialParseError,
+                                   match="simplifies to zero"):
+                    parse_polynomial(text, n)
+
 
 class TestOrders:
     def test_lex_precedence(self):
